@@ -15,6 +15,7 @@ from .errors import (
     CapacityExceeded,
     DimensionMismatch,
     FactorizationFailure,
+    ForeignElement,
     InvalidValuation,
     NonPositiveModulus,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "DimensionMismatch",
     "EndomorphismTable",
     "FactorizationFailure",
+    "ForeignElement",
     "GroupElement",
     "IntMatrix",
     "InvalidValuation",

@@ -8,6 +8,7 @@ They operate on unbounded integers.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Sequence
 
 
@@ -17,14 +18,13 @@ def pgroup_sweep(fs: Sequence[int], es: Sequence[int]) -> list[int]:
     Processes the (f, e) pairs in ascending order of f (stable) while keeping a
     running carry: at each pair f is bumped by the carry, the carry grows by
     max(0, e - f), and min(f, e) survives.  Survivors are returned in
-    processing order; zeros are NOT dropped here.
+    processing order; zeros are NOT dropped here.  Raises ValueError when fs
+    and es differ in length, as the compiled kernel does.
     """
-    order = sorted(range(len(fs)), key=lambda i: fs[i])
     carry = 0
     out = []
-    for i in order:
-        f = fs[i] + carry
-        e = es[i]
+    for f, e in sorted(zip(fs, es, strict=True), key=itemgetter(0)):
+        f += carry
         if e > f:
             carry += e - f
             out.append(f)

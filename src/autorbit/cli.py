@@ -283,12 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the snf method above this rank (it is cubic)",
     )
     b.add_argument(
-        "--family",
-        choices=("c4",),
-        default="c4",
-        help="benchmark family (C4^n)",
-    )
-    b.add_argument(
         "--model",
         action="store_true",
         help="emit the analytic operation-count curves instead of timings",

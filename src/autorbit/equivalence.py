@@ -9,7 +9,7 @@ quotients already differ in cardinality when the orders differ.
 from __future__ import annotations
 
 from . import fastquot, snf
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ForeignElement
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, element_order
 
 METHODS = ("fast", "snf")
@@ -19,8 +19,10 @@ def quotient_key(G: AbelianGroup, x: GroupElement, method: str = "fast") -> Cano
     """Canonical key of G / <x> via the chosen path ('fast' or 'snf').
 
     Both paths agree on every input; the switch exists for cross-validation
-    and benchmarking.
+    and benchmarking.  Raises ForeignElement when x is not an element of G.
     """
+    if x.parent is not G and x.parent != G:
+        raise ForeignElement(f"element of {x.parent} used with {G}")
     if method == "fast":
         return fastquot.quotient(G, x)
     if method == "snf":
@@ -32,6 +34,9 @@ def are_automorphic(
     G: AbelianGroup, x: GroupElement, y: GroupElement, method: str = "fast"
 ) -> bool:
     """True iff some automorphism of G maps x to y.
+
+    Raises DimensionMismatch when an element's arity differs from G's, and
+    ForeignElement when an element of matching arity belongs to another group.
 
     >>> from .groups import make_group
     >>> G = make_group([4, 4])
@@ -46,6 +51,8 @@ def are_automorphic(
         raise DimensionMismatch(
             f"expected {n} coordinates, got {len(x.coords)} and {len(y.coords)}"
         )
+    if (x.parent is not G and x.parent != G) or (y.parent is not G and y.parent != G):
+        raise ForeignElement(f"elements of {x.parent} and {y.parent} used with {G}")
     if element_order(x) != element_order(y):
         return False
     return quotient_key(G, x, method) == quotient_key(G, y, method)

@@ -21,5 +21,9 @@ class DimensionMismatch(AutorbitError):
     """An element's arity does not match its group's."""
 
 
+class ForeignElement(AutorbitError):
+    """An element belongs to a group other than the one it is used with."""
+
+
 class CapacityExceeded(AutorbitError):
     """An enumeration would exceed the configured cap."""

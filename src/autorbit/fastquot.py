@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .arith import nu
-from .errors import DimensionMismatch, InvalidValuation
+from .errors import DimensionMismatch, ForeignElement, InvalidValuation
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement
 
 
@@ -92,20 +92,22 @@ def p_group_quotient(part: PPrimaryPart) -> list[int]:
     >>> p_group_quotient(PPrimaryPart(2, ((0, 2), (1, 1), (1, 3), (2, 3))))
     [3, 3, 1]
     """
-    survivors = kernels.pgroup_sweep(
-        [f for f, _ in part.pairs], [e for _, e in part.pairs]
-    )
-    return sorted((s for s in survivors if s), reverse=True)
+    pairs = part.pairs
+    survivors = kernels.pgroup_sweep([f for f, _ in pairs], [e for _, e in pairs])
+    return sorted(filter(None, survivors), reverse=True)
 
 
 def quotient(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
-    """Canonical key of G / <x> via the per-prime valuation sweep.
+    """Canonical key of G / <x> via the per-prime valuation sweep; raises
+    ForeignElement when x is not an element of G.
 
     >>> from .groups import make_group
     >>> G = make_group([2, 4, 8, 8])
     >>> quotient(G, G.element([2, 1, 2, 4])).parts
     ((2, (3, 3, 1)),)
     """
+    if x.parent is not G and x.parent != G:
+        raise ForeignElement(f"element of {x.parent} used with {G}")
     primary = {}
     for p, part in sylow_decompose(G, x).items():
         exps = p_group_quotient(part)

@@ -3,11 +3,16 @@
 Within one p-primary part, every element is automorphic to its reduced form
 (p^{b_1}, ..., p^{b_n}) with 0 <= b_i <= e_i (b_i = e_i standing for the zero
 coordinate), so iterating the prod(e_i + 1) reduced forms and grouping them by
-the canonical key of the quotient they generate yields the per-prime orbits;
-the number of ordinary elements sharing a reduced form is the product over
-coordinates of phi(p^{e_i - b_i}) (one, for a zero coordinate).  Orbits of the
-whole group are Cartesian products of per-prime orbits, with multiplying
-sizes and merged quotient keys.
+the quotient they generate yields the per-prime orbits; the number of
+ordinary elements sharing a reduced form is the product over coordinates of
+phi(p^{e_i - b_i}) (one, for a zero coordinate), read from a per-exponent
+table.  The quotient depends only on the multiset of (b_i, e_i) pairs (the
+form's height data), so the valuation sweep runs once per distinct multiset:
+when exponents repeat, sweeps are memoized by the sorted pairs; when they are
+all distinct, every form is its own multiset and is swept directly.  Forms
+are bucketed by the quotient's exponent tuple, and each orbit's canonical key
+is built once.  Orbits of the whole group are Cartesian products of
+per-prime orbits, with multiplying sizes and concatenated quotient keys.
 
 Enumeration is capped (default 10**7 combined reduced forms) and fails loudly
 with CapacityExceeded rather than hang.
@@ -18,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import getitem
 
 from .arith import crt, phi_prime_power
 from .errors import CapacityExceeded
@@ -92,8 +98,9 @@ def p_group_orbits(
     """Orbits of the p-group with the given component exponents.
 
     Iterates reduced forms in mixed-radix (odometer) order, groups them by the
-    canonical quotient key, and sums exact element counts.  Output order is
-    first occurrence.
+    quotient's exponents, and sums exact element counts.  The sweep runs once
+    per distinct multiset of (b_i, e_i) pairs.  Output order is first
+    occurrence.
 
     >>> [(o.quotient_key.describe_invariant(), o.size) for o in p_group_orbits(2, (2,))]
     [('C1', 2), ('C2', 1), ('C4', 1)]
@@ -103,24 +110,38 @@ def p_group_orbits(
     total = math.prod(e + 1 for e in exponents)
     if total > cap:
         raise CapacityExceeded(f"{total} reduced forms exceed cap {cap}")
-    buckets: dict[CanonicalGroupKey, tuple[list[tuple[int, ...]], list[int]]] = {}
+    # phi[e][b]: elements of C_{p^e} whose reduced coordinate is p^b.
+    phi = {e: [phi_prime_power(p, e - b) for b in range(e)] + [1] for e in set(exponents)}
+    tables = [phi[e] for e in exponents]
+    # Sorted pairs -> quotient exponents.  With all exponents distinct every
+    # form is its own multiset, so a memo would only cost memory.
+    memo: dict[tuple[tuple[int, int], ...], tuple[int, ...]] | None = (
+        {} if len(phi) < len(exponents) else None
+    )
+    # quotient exponents -> [forms, summed element count]
+    buckets: dict[tuple[int, ...], list] = {}
     for b in itertools.product(*(range(e + 1) for e in exponents)):
-        exps = p_group_quotient(PPrimaryPart(p, tuple(zip(b, exponents))))
-        key = CanonicalGroupKey.from_map({p: exps} if exps else {})
-        count = 1
-        for b_i, e_i in zip(b, exponents):
-            if b_i != e_i:
-                count *= phi_prime_power(p, e_i - b_i)
-        forms, sizes = buckets.setdefault(key, ([], []))
-        forms.append(b)
-        sizes.append(count)
+        if memo is None:
+            exps = tuple(p_group_quotient(PPrimaryPart(p, tuple(zip(b, exponents)))))
+        else:
+            pairs = tuple(sorted(zip(b, exponents)))
+            exps = memo.get(pairs)
+            if exps is None:
+                exps = memo[pairs] = tuple(p_group_quotient(PPrimaryPart(p, pairs)))
+        count = math.prod(map(getitem, tables, b))
+        bucket = buckets.get(exps)
+        if bucket is None:
+            buckets[exps] = [[b], count]
+        else:
+            bucket[0].append(b)
+            bucket[1] += count
     return [
         OrbitSummary(
-            key,
+            CanonicalGroupKey.from_map({p: exps}),
             tuple(ReducedForm(((p, b),)) for b in forms),
-            sum(sizes),
+            size,
         )
-        for key, (forms, sizes) in buckets.items()
+        for exps, (forms, size) in buckets.items()
     ]
 
 
@@ -130,7 +151,7 @@ def enumerate_orbits(
     """All automorphic orbits of G, with exact sizes summing to |G|.
 
     Per-prime orbits are combined by Cartesian product: sizes multiply,
-    quotient keys merge, and representative reduced forms pair up.  The
+    quotient keys concatenate, and representative reduced forms pair up.  The
     combined representative count is exactly prod_i tau(d_i), which is what
     the cap limits.
 
@@ -146,16 +167,17 @@ def enumerate_orbits(
     per_prime = [p_group_orbits(p, G.primary_exponents(p), cap) for p in G.primes()]
     if not per_prime:
         return [OrbitSummary(CanonicalGroupKey(()), (ReducedForm(()),), 1)]
+    if len(per_prime) == 1:
+        return per_prime[0]
+    # Primes ascend and are disjoint, so concatenated parts are canonical.
+    rep_parts = [[[rf.parts for rf in o.representatives] for o in orbits] for orbits in per_prime]
     combined = []
-    for combo in itertools.product(*per_prime):
-        key = CanonicalGroupKey(())
-        size = 1
-        for o in combo:
-            key = key.merge(o.quotient_key)
-            size *= o.size
-        reps = tuple(
-            ReducedForm(tuple(itertools.chain.from_iterable(rf.parts for rf in row)))
-            for row in itertools.product(*(o.representatives for o in combo))
+    for combo, parts in zip(itertools.product(*per_prime), itertools.product(*rep_parts)):
+        combined.append(
+            OrbitSummary(
+                CanonicalGroupKey(sum((o.quotient_key.parts for o in combo), ())),
+                tuple(ReducedForm(sum(row, ())) for row in itertools.product(*parts)),
+                math.prod(o.size for o in combo),
+            )
         )
-        combined.append(OrbitSummary(key, reps, size))
     return combined

@@ -5,8 +5,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from autorbit.arith import factorize
-from autorbit.groups import AbelianGroup, GroupElement
+from autorbit.arith import factorize, phi_prime_power
+from autorbit.fastquot import PPrimaryPart, p_group_quotient
+from autorbit.groups import AbelianGroup, CanonicalGroupKey, GroupElement
+from autorbit.orbits import OrbitSummary, ReducedForm
 
 
 @lru_cache(maxsize=None)
@@ -95,3 +97,39 @@ def divisor_count(n: int) -> int:
             count += 2 if d * d != n else 1
         d += 1
     return count
+
+
+def reference_orbits(G: AbelianGroup) -> list[OrbitSummary]:
+    """enumerate_orbits the slow way: one sweep and one canonical key per
+    reduced form, per-prime orbits combined by merging keys.  Same output
+    order: orbits by first occurrence, forms in odometer order."""
+    per_prime = []
+    for p in G.primes():
+        exponents = G.primary_exponents(p)
+        buckets: dict[CanonicalGroupKey, tuple[list, list]] = {}
+        for b in itertools.product(*(range(e + 1) for e in exponents)):
+            exps = p_group_quotient(PPrimaryPart(p, tuple(zip(b, exponents))))
+            key = CanonicalGroupKey.from_map({p: exps})
+            count = 1
+            for b_i, e_i in zip(b, exponents):
+                if b_i != e_i:
+                    count *= phi_prime_power(p, e_i - b_i)
+            forms, sizes = buckets.setdefault(key, ([], []))
+            forms.append(ReducedForm(((p, b),)))
+            sizes.append(count)
+        per_prime.append(
+            [OrbitSummary(k, tuple(forms), sum(sizes)) for k, (forms, sizes) in buckets.items()]
+        )
+    out = []
+    for combo in itertools.product(*per_prime):
+        key = CanonicalGroupKey(())
+        size = 1
+        for o in combo:
+            key = key.merge(o.quotient_key)
+            size *= o.size
+        reps = tuple(
+            ReducedForm(tuple(itertools.chain.from_iterable(rf.parts for rf in row)))
+            for row in itertools.product(*(o.representatives for o in combo))
+        )
+        out.append(OrbitSummary(key, reps, size))
+    return out

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from _support import groups_up_to
 from autorbit.equivalence import are_automorphic, quotient_key
-from autorbit.errors import DimensionMismatch
+from autorbit.errors import DimensionMismatch, ForeignElement
+from autorbit.fastquot import quotient
 from autorbit.groups import element_order, make_group
 from autorbit.oracle import brute_orbits, enumerate_automorphisms
 
@@ -62,6 +63,30 @@ def test_dimension_mismatch():
     H = make_group([2, 4, 8])
     with pytest.raises(DimensionMismatch):
         are_automorphic(G, G.element([1, 1]), H.element([1, 1, 1]))
+
+
+def test_foreign_element_rejected():
+    # x of order 8 in C8 x C8 used to fail the order pre-check against an
+    # element of order 4, although both quotients of C4 x C4 are C4
+    G = make_group([4, 4])
+    x = make_group([8, 8]).element([1, 0])
+    with pytest.raises(ForeignElement):
+        are_automorphic(G, x, G.element([1, 0]))
+    with pytest.raises(ForeignElement):
+        are_automorphic(G, G.element([1, 0]), x)
+    for method in ("fast", "snf"):
+        with pytest.raises(ForeignElement):
+            quotient_key(G, x, method)
+    with pytest.raises(ForeignElement):
+        quotient(G, x)
+
+
+def test_element_of_equal_group_accepted():
+    G = make_group([4, 4])
+    x = make_group([4, 4]).element([1, 0])
+    assert x.parent is not G
+    assert are_automorphic(G, x, G.element([0, 3]))
+    assert quotient_key(G, x) == quotient(G, x) == quotient_key(G, x, "snf")
 
 
 def test_equivalence_relation_properties():

@@ -82,5 +82,12 @@ def test_sweep_empty():
     assert kernels.pgroup_sweep([], []) == []
 
 
+@pytest.mark.parametrize("fs, es", [([0, 1], [2]), ([0], [2, 3]), ([], [1])])
+def test_pure_sweep_rejects_length_mismatch(fs, es):
+    # a short es used to raise IndexError and a long one was truncated
+    with pytest.raises(ValueError):
+        _kernels_py.pgroup_sweep(fs, es)
+
+
 def test_snf_zero_matrix():
     assert kernels.snf_diagonal(2, 3, [0] * 6) == [0, 0]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from _support import divisor_count, groups_up_to
+from _support import divisor_count, groups_up_to, reference_orbits
 from autorbit.equivalence import are_automorphic, quotient_key
 from autorbit.errors import CapacityExceeded
 from autorbit.groups import make_group
@@ -85,6 +85,38 @@ def test_enumerate_orbits_trivial_group():
         assert len(orbits) == 1
         assert orbits[0].size == 1
         assert orbits[0].quotient_key.is_trivial()
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        (2, 4, 8, 16),  # distinct exponents: one sweep per form
+        (32, 2, 8),
+        (4, 4, 4),  # repeated exponents: one sweep per multiset
+        (2, 2, 2, 2, 2, 2),
+        (8, 8, 8, 8),
+        (2, 8, 4, 8, 4),  # mixed classes, shuffled positions
+        (9, 3, 27, 9, 3),
+        (12, 18, 10),  # several primes
+        (4, 4, 9, 3, 5),
+        (8, 2, 45, 15, 7),
+        (2,),  # rank 1
+        (64,),
+        (3**5,),
+        (),  # trivial
+        (1,),
+        (1, 1),
+    ],
+)
+def test_matches_per_form_reference(moduli):
+    # exact list equality: orbit order, representative order, keys and sizes
+    G = make_group(moduli)
+    assert enumerate_orbits(G) == reference_orbits(G)
+
+
+def test_matches_per_form_reference_small_groups():
+    for G in groups_up_to(128):
+        assert enumerate_orbits(G) == reference_orbits(G), G
 
 
 def test_cyclic_orbit_count_is_divisor_count():
