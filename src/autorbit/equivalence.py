@@ -19,10 +19,9 @@ def quotient_key(G: AbelianGroup, x: GroupElement, method: str = "fast") -> Cano
     """Canonical key of G / <x> via the chosen path ('fast' or 'snf').
 
     Both paths agree on every input; the switch exists for cross-validation
-    and benchmarking.  Raises ForeignElement when x is not an element of G.
+    and benchmarking.  Raises DimensionMismatch when x's arity differs from
+    G's, and ForeignElement when x belongs to another group.
     """
-    if x.parent is not G and x.parent != G:
-        raise ForeignElement(f"element of {x.parent} used with {G}")
     if method == "fast":
         return fastquot.quotient(G, x)
     if method == "snf":

@@ -74,6 +74,9 @@ def normalize_element_valuations(G: AbelianGroup, x: GroupElement, p: int) -> PP
 def sylow_decompose(G: AbelianGroup, x: GroupElement) -> dict[int, PPrimaryPart]:
     """Split G and x into p-primary parts, one PPrimaryPart per prime dividing |G|.
 
+    Raises DimensionMismatch when x's arity differs from G's, and
+    ForeignElement when x belongs to another group.
+
     >>> from .groups import make_group
     >>> G = make_group([6])
     >>> {p: part.pairs for p, part in sylow_decompose(G, G.element([3])).items()}
@@ -83,6 +86,8 @@ def sylow_decompose(G: AbelianGroup, x: GroupElement) -> dict[int, PPrimaryPart]
         raise DimensionMismatch(
             f"expected {len(G.moduli)} coordinates, got {len(x.coords)}"
         )
+    if x.parent is not G and x.parent != G:
+        raise ForeignElement(f"element of {x.parent} used with {G}")
     return {p: normalize_element_valuations(G, x, p) for p in G.primes()}
 
 
@@ -98,16 +103,13 @@ def p_group_quotient(part: PPrimaryPart) -> list[int]:
 
 
 def quotient(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
-    """Canonical key of G / <x> via the per-prime valuation sweep; raises
-    ForeignElement when x is not an element of G.
+    """Canonical key of G / <x> via the per-prime valuation sweep.
 
     >>> from .groups import make_group
     >>> G = make_group([2, 4, 8, 8])
     >>> quotient(G, G.element([2, 1, 2, 4])).parts
     ((2, (3, 3, 1)),)
     """
-    if x.parent is not G and x.parent != G:
-        raise ForeignElement(f"element of {x.parent} used with {G}")
     primary = {}
     for p, part in sylow_decompose(G, x).items():
         exps = p_group_quotient(part)

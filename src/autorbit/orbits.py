@@ -7,12 +7,12 @@ the quotient they generate yields the per-prime orbits; the number of
 ordinary elements sharing a reduced form is the product over coordinates of
 phi(p^{e_i - b_i}) (one, for a zero coordinate), read from a per-exponent
 table.  The quotient depends only on the multiset of (b_i, e_i) pairs (the
-form's height data), so the valuation sweep runs once per distinct multiset:
-when exponents repeat, sweeps are memoized by the sorted pairs; when they are
-all distinct, every form is its own multiset and is swept directly.  Forms
-are bucketed by the quotient's exponent tuple, and each orbit's canonical key
-is built once.  Orbits of the whole group are Cartesian products of
-per-prime orbits, with multiplying sizes and concatenated quotient keys.
+form's height data), so the valuation sweep runs once per distinct multiset,
+memoized by the sorted pairs (by the form itself when the exponents are
+distinct).  Forms are bucketed by the quotient's exponent tuple, and each
+orbit's canonical key is built once.  Orbits of the whole group are Cartesian
+products of per-prime orbits, with multiplying sizes and concatenated quotient
+keys.
 
 Enumeration is capped (default 10**7 combined reduced forms) and fails loudly
 with CapacityExceeded rather than hang.
@@ -113,21 +113,19 @@ def p_group_orbits(
     # phi[e][b]: elements of C_{p^e} whose reduced coordinate is p^b.
     phi = {e: [phi_prime_power(p, e - b) for b in range(e)] + [1] for e in set(exponents)}
     tables = [phi[e] for e in exponents]
-    # Sorted pairs -> quotient exponents.  With all exponents distinct every
-    # form is its own multiset, so a memo would only cost memory.
-    memo: dict[tuple[tuple[int, int], ...], tuple[int, ...]] | None = (
-        {} if len(phi) < len(exponents) else None
-    )
+    # The memo is keyed by one canonical name per multiset of (b_i, e_i)
+    # pairs.  When the exponents are distinct, the form itself is that name;
+    # sorted pairs there would hold a new tuple of pairs per form, never hit.
+    repeats = len(phi) < len(exponents)
+    memo: dict[tuple, tuple[int, ...]] = {}
     # quotient exponents -> [forms, summed element count]
     buckets: dict[tuple[int, ...], list] = {}
     for b in itertools.product(*(range(e + 1) for e in exponents)):
-        if memo is None:
-            exps = tuple(p_group_quotient(PPrimaryPart(p, tuple(zip(b, exponents)))))
-        else:
-            pairs = tuple(sorted(zip(b, exponents)))
-            exps = memo.get(pairs)
-            if exps is None:
-                exps = memo[pairs] = tuple(p_group_quotient(PPrimaryPart(p, pairs)))
+        key = tuple(sorted(zip(b, exponents))) if repeats else b
+        exps = memo.get(key)
+        if exps is None:
+            part = PPrimaryPart(p, tuple(zip(b, exponents)))
+            exps = memo[key] = tuple(p_group_quotient(part))
         count = math.prod(map(getitem, tables, b))
         bucket = buckets.get(exps)
         if bucket is None:

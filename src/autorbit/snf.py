@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .arith import factorize
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ForeignElement
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, to_invariant_coordinates
 
 
@@ -61,11 +61,17 @@ def smith_normal_form(A: IntMatrix) -> list[int]:
 
 
 def quotient_matrix(G: AbelianGroup, x: GroupElement) -> IntMatrix:
-    """The (k+1) x k relation matrix for G / <x> in invariant-factor form."""
+    """The (k+1) x k relation matrix for G / <x> in invariant-factor form.
+
+    Raises DimensionMismatch when x's arity differs from G's, and
+    ForeignElement when x belongs to another group.
+    """
     if len(x.coords) != len(G.moduli):
         raise DimensionMismatch(
             f"expected {len(G.moduli)} coordinates, got {len(x.coords)}"
         )
+    if x.parent is not G and x.parent != G:
+        raise ForeignElement(f"element of {x.parent} used with {G}")
     factors = G.invariant_factors
     k = len(factors)
     coords = to_invariant_coordinates(G, x)
@@ -85,10 +91,11 @@ def quotient_by_snf(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
     >>> quotient_by_snf(G, G.element([2, 1, 2, 4])).parts
     ((2, (3, 3, 1)),)
     """
+    A = quotient_matrix(G, x)
     if G.rank == 0:
         return CanonicalGroupKey(())
     primary: dict[int, list[int]] = {}
-    for s in smith_normal_form(quotient_matrix(G, x)):
+    for s in smith_normal_form(A):
         if s > 1:
             for p, e in factorize(s).items():
                 primary.setdefault(p, []).append(e)

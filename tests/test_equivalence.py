@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from _support import groups_up_to
 from autorbit.equivalence import are_automorphic, quotient_key
 from autorbit.errors import DimensionMismatch, ForeignElement
-from autorbit.fastquot import quotient
+from autorbit.fastquot import quotient, sylow_decompose
 from autorbit.groups import element_order, make_group
 from autorbit.oracle import brute_orbits, enumerate_automorphisms
+from autorbit.orbits import reduced_form
+from autorbit.snf import quotient_by_snf
 
 
 def test_unit_scaling_and_swap_are_automorphic():
@@ -79,6 +81,29 @@ def test_foreign_element_rejected():
             quotient_key(G, x, method)
     with pytest.raises(ForeignElement):
         quotient(G, x)
+    with pytest.raises(ForeignElement):
+        reduced_form(G, x)
+    with pytest.raises(ForeignElement):
+        sylow_decompose(G, x)
+    with pytest.raises(ForeignElement):
+        quotient_by_snf(G, x)
+    # a trivial group of the same arity skips the Smith normal form
+    with pytest.raises(ForeignElement):
+        quotient_by_snf(make_group([1, 1]), x)
+
+
+def test_arity_checked_before_parent():
+    G = make_group([4, 4])
+    x = make_group([4, 4, 4]).element([1, 1, 1])
+    with pytest.raises(DimensionMismatch):
+        quotient(G, x)
+    for method in ("fast", "snf"):
+        with pytest.raises(DimensionMismatch):
+            quotient_key(G, x, method)
+    with pytest.raises(DimensionMismatch):
+        are_automorphic(G, make_group([8, 8]).element([1, 0]), x)
+    with pytest.raises(DimensionMismatch):
+        quotient_by_snf(make_group([1, 1]), x)
 
 
 def test_element_of_equal_group_accepted():
