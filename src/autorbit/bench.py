@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from . import kernels
 from .equivalence import are_automorphic
 from .groups import AbelianGroup, GroupElement
 
@@ -82,38 +81,16 @@ def run_scaling(
     ranks: Iterable[int],
     methods: Sequence[str] = ("fast", "snf"),
     trials: int = 5,
-    backend: str = "auto",
     snf_max_rank: int | None = None,
 ) -> list[BenchRow]:
-    """Time the decision procedure per rank and method; returns CSV-ready rows.
-
-    backend 'auto' uses whatever the kernels module selected at import;
-    'pure'/'compiled' force one; 'both' measures each method under both,
-    labelling methods 'fast@pure' etc.
-    """
-    ranks = list(ranks)
-    if backend == "both":
-        rows = []
-        for b in ("compiled", "pure"):
-            if b == "compiled" and not kernels.compiled_available():
-                continue
-            for row in run_scaling(ranks, methods, trials, b, snf_max_rank):
-                rows.append(
-                    BenchRow(row.rank, f"{row.method}@{b}", row.mean_ms, row.stddev_ms)
-                )
-        return rows
+    """Time the decision procedure per rank and method; returns CSV-ready rows."""
     rows = []
     for rank in ranks:
         G, x, y = c4_instance(rank)
         for method in methods:
             if method == "snf" and snf_max_rank is not None and rank > snf_max_rank:
                 continue
-            fn = lambda: are_automorphic(G, x, y, method=method)  # noqa: E731
-            if backend in ("pure", "compiled"):
-                with kernels.forced(backend):
-                    samples = _time_callable(fn, trials)
-            else:
-                samples = _time_callable(fn, trials)
+            samples = _time_callable(lambda: are_automorphic(G, x, y, method=method), trials)
             mean_ms = statistics.fmean(samples) * 1e3
             stddev_ms = (statistics.stdev(samples) * 1e3) if len(samples) > 1 else 0.0
             rows.append(BenchRow(rank, method, mean_ms, stddev_ms))

@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import bench as bench_mod
-from . import kernels, oracle
+from . import oracle
 from .arith import factorize
 from .equivalence import are_automorphic, quotient_key
 from .errors import (
@@ -206,7 +206,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ranks,
         methods=methods,
         trials=args.trials,
-        backend=args.backend,
         snf_max_rank=args.snf_max_rank,
     )
     sys.stdout.write(bench_mod.rows_to_csv(rows))
@@ -219,7 +218,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f" (r2={fit.r_squared:.4f})",
                 file=sys.stderr,
             )
-    print(f"kernel backend: {kernels.active_backend()}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -273,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--ranks", help="explicit comma-separated rank list")
     b.add_argument("--trials", type=int, default=5)
     b.add_argument("--methods", default="fast,snf")
-    b.add_argument(
-        "--backend", choices=("auto", "compiled", "pure", "both"), default="auto"
-    )
     b.add_argument(
         "--snf-max-rank",
         type=int,

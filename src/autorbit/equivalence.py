@@ -9,8 +9,7 @@ quotients already differ in cardinality when the orders differ.
 from __future__ import annotations
 
 from . import fastquot, snf
-from .errors import DimensionMismatch, ForeignElement
-from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, element_order
+from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, check_elements, element_order
 
 METHODS = ("fast", "snf")
 
@@ -34,8 +33,9 @@ def are_automorphic(
 ) -> bool:
     """True iff some automorphism of G maps x to y.
 
-    Raises DimensionMismatch when an element's arity differs from G's, and
-    ForeignElement when an element of matching arity belongs to another group.
+    Raises ValueError for an unknown method, DimensionMismatch when an
+    element's arity differs from G's, and ForeignElement when an element of
+    matching arity belongs to another group.
 
     >>> from .groups import make_group
     >>> G = make_group([4, 4])
@@ -45,13 +45,9 @@ def are_automorphic(
     >>> are_automorphic(G2, G2.element([1, 0]), G2.element([0, 2]))
     False
     """
-    n = len(G.moduli)
-    if len(x.coords) != n or len(y.coords) != n:
-        raise DimensionMismatch(
-            f"expected {n} coordinates, got {len(x.coords)} and {len(y.coords)}"
-        )
-    if (x.parent is not G and x.parent != G) or (y.parent is not G and y.parent != G):
-        raise ForeignElement(f"elements of {x.parent} and {y.parent} used with {G}")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    check_elements(G, x, y)
     if element_order(x) != element_order(y):
         return False
     return quotient_key(G, x, method) == quotient_key(G, y, method)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from . import kernels
 from .arith import nu
-from .errors import DimensionMismatch, ForeignElement, InvalidValuation
-from .groups import AbelianGroup, CanonicalGroupKey, GroupElement
+from .errors import InvalidValuation
+from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, check_elements
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,7 @@ def sylow_decompose(G: AbelianGroup, x: GroupElement) -> dict[int, PPrimaryPart]
     >>> {p: part.pairs for p, part in sylow_decompose(G, G.element([3])).items()}
     {2: ((0, 1),), 3: ((1, 1),)}
     """
-    if len(x.coords) != len(G.moduli):
-        raise DimensionMismatch(
-            f"expected {len(G.moduli)} coordinates, got {len(x.coords)}"
-        )
-    if x.parent is not G and x.parent != G:
-        raise ForeignElement(f"element of {x.parent} used with {G}")
+    check_elements(G, x)
     return {p: normalize_element_valuations(G, x, p) for p in G.primes()}
 
 

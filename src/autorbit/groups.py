@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .arith import crt, factorize
-from .errors import DimensionMismatch, NonPositiveModulus
+from .errors import DimensionMismatch, ForeignElement, NonPositiveModulus
 
 
 def format_cyclic(orders: Iterable[int]) -> str:
@@ -219,6 +219,7 @@ class GroupElement:
     coords: tuple[int, ...]
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
+        check_elements(self.parent, other)
         return GroupElement(
             self.parent,
             tuple(
@@ -252,6 +253,27 @@ class GroupElement:
         return f"GroupElement({list(self.coords)} in {self.parent!r})"
 
 
+def check_elements(G: AbelianGroup, *elements: GroupElement) -> None:
+    """Raise DimensionMismatch when some element's arity differs from G's,
+    else ForeignElement when some element belongs to another group.
+
+    Every arity is checked before any parent, and the parent by identity
+    before equality, so elements of G itself cost no group comparison.
+
+    >>> check_elements(make_group([4, 4]), make_group([8, 8]).element([1, 0]))
+    Traceback (most recent call last):
+    ...
+    autorbit.errors.ForeignElement: element of C8 x C8 used with C4 x C4
+    """
+    n = len(G.moduli)
+    for x in elements:
+        if len(x.coords) != n:
+            raise DimensionMismatch(f"expected {n} coordinates, got {len(x.coords)}")
+    for x in elements:
+        if x.parent is not G and x.parent != G:
+            raise ForeignElement(f"element of {x.parent} used with {G}")
+
+
 def make_group(moduli: Iterable[int]) -> AbelianGroup:
     """Normalize a list of cyclic orders into an AbelianGroup.
 
@@ -280,12 +302,15 @@ def to_invariant_coordinates(G: AbelianGroup, x: GroupElement) -> tuple[int, ...
     The isomorphism splits every coordinate into its prime-power residues,
     assigns each prime's factors to the invariant slots largest-to-largest
     (ties kept in position order), and recombines per slot by CRT.  The result
-    is aligned with ``G.invariant_factors``.
+    is aligned with ``G.invariant_factors``.  Raises DimensionMismatch when
+    x's arity differs from G's, and ForeignElement when x belongs to another
+    group.
 
     >>> G = make_group([6, 4])
     >>> to_invariant_coordinates(G, G.element([3, 2]))
     (1, 6)
     """
+    check_elements(G, x)
     k = G.rank
     slots: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for p, triples in G._primary.items():

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .arith import factorize
 from .errors import CapacityExceeded
-from .groups import AbelianGroup, CanonicalGroupKey, GroupElement
+from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, check_elements
 
 DEFAULT_CAP = 10_000_000
 
@@ -155,8 +155,10 @@ def is_automorphic_image_bruteforce(
 ) -> bool:
     """Decide phi(x) == y for some automorphism by iterating all of Aut(G).
 
-    The naive baseline: worst case visits every automorphism table.
+    The naive baseline: worst case visits every automorphism table.  Raises
+    DimensionMismatch or ForeignElement for an element not of G.
     """
+    check_elements(G, x, y)
     moduli = G.moduli
     n = len(moduli)
     target = y.coords
@@ -226,13 +228,15 @@ def brute_quotient_key(G: AbelianGroup, x: GroupElement, cap: int = DEFAULT_CAP)
 
     Enumerates the cosets of <x>; for each prime p dividing the quotient order
     and each k, counts the cosets annihilated by p^k.  Those counts pin down a
-    finite abelian group uniquely, prime by prime.
+    finite abelian group uniquely, prime by prime.  Raises DimensionMismatch
+    or ForeignElement for an element not of G.
 
     >>> from .groups import make_group
     >>> G = make_group([2, 4])
     >>> brute_quotient_key(G, G.element([1, 2])).parts
     ((2, (2,)),)
     """
+    check_elements(G, x)
     N = G.order
     if N > cap:
         raise CapacityExceeded(f"group order {N} exceeds cap {cap}")

@@ -48,14 +48,6 @@ class ReducedForm:
     def by_prime(self) -> dict[int, tuple[int, ...]]:
         return dict(self.parts)
 
-    def merge(self, other: "ReducedForm") -> "ReducedForm":
-        mine = self.by_prime
-        theirs = other.by_prime
-        if mine.keys() & theirs.keys():
-            raise ValueError("reduced forms share primes")
-        mine.update(theirs)
-        return ReducedForm.from_map(mine)
-
     def realize(self, G: AbelianGroup) -> GroupElement:
         """The concrete element of G this reduced form names."""
         congruences: list[list[tuple[int, int]]] = [[] for _ in G.moduli]

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .arith import factorize
-from .errors import DimensionMismatch, ForeignElement
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, to_invariant_coordinates
 
 
@@ -52,7 +51,7 @@ def smith_normal_form(A: IntMatrix) -> list[int]:
 
     Entries are nonnegative and form a divisibility chain s_i | s_{i+1}
     (zeros last).  Uses smallest-magnitude pivoting with a gcd/lcm chain
-    repair; see the kernels module.
+    repair; see ``kernels.snf_diagonal``.
 
     >>> smith_normal_form(IntMatrix.from_rows([[1, 2], [2, 0], [0, 4]]))
     [1, 4]
@@ -64,14 +63,9 @@ def quotient_matrix(G: AbelianGroup, x: GroupElement) -> IntMatrix:
     """The (k+1) x k relation matrix for G / <x> in invariant-factor form.
 
     Raises DimensionMismatch when x's arity differs from G's, and
-    ForeignElement when x belongs to another group.
+    ForeignElement when x belongs to another group (checked by
+    to_invariant_coordinates).
     """
-    if len(x.coords) != len(G.moduli):
-        raise DimensionMismatch(
-            f"expected {len(G.moduli)} coordinates, got {len(x.coords)}"
-        )
-    if x.parent is not G and x.parent != G:
-        raise ForeignElement(f"element of {x.parent} used with {G}")
     factors = G.invariant_factors
     k = len(factors)
     coords = to_invariant_coordinates(G, x)

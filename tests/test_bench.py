@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from autorbit import bench, kernels
+from autorbit import bench
 
 
 def test_fit_power_law_recovers_exact_parameters():
@@ -65,15 +65,6 @@ def test_snf_rank_cutoff():
     )
     assert ("snf" in {r.method for r in rows if r.rank == 2})
     assert not [r for r in rows if r.rank == 8 and r.method == "snf"]
-
-
-def test_backend_both_labels_rows():
-    rows = bench.run_scaling([2], methods=("fast",), trials=1, backend="both")
-    methods = {r.method for r in rows}
-    if kernels.compiled_available():
-        assert methods == {"fast@compiled", "fast@pure"}
-    else:
-        assert methods == {"fast@pure"}
 
 
 def test_c4_instance_shape():

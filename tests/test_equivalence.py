@@ -8,8 +8,13 @@ from _support import groups_up_to
 from autorbit.equivalence import are_automorphic, quotient_key
 from autorbit.errors import DimensionMismatch, ForeignElement
 from autorbit.fastquot import quotient, sylow_decompose
-from autorbit.groups import element_order, make_group
-from autorbit.oracle import brute_orbits, enumerate_automorphisms
+from autorbit.groups import element_order, make_group, to_invariant_coordinates
+from autorbit.oracle import (
+    brute_orbits,
+    brute_quotient_key,
+    enumerate_automorphisms,
+    is_automorphic_image_bruteforce,
+)
 from autorbit.orbits import reduced_form
 from autorbit.snf import quotient_by_snf
 
@@ -90,6 +95,15 @@ def test_foreign_element_rejected():
     # a trivial group of the same arity skips the Smith normal form
     with pytest.raises(ForeignElement):
         quotient_by_snf(make_group([1, 1]), x)
+    # the oracle used to answer True and C4 x C4 here
+    with pytest.raises(ForeignElement):
+        is_automorphic_image_bruteforce(G, x, G.element([1, 0]))
+    with pytest.raises(ForeignElement):
+        is_automorphic_image_bruteforce(G, G.element([1, 0]), x)
+    with pytest.raises(ForeignElement):
+        brute_quotient_key(G, make_group([8, 8]).element([4, 0]))
+    with pytest.raises(ForeignElement):
+        to_invariant_coordinates(G, x)
 
 
 def test_arity_checked_before_parent():
@@ -104,6 +118,24 @@ def test_arity_checked_before_parent():
         are_automorphic(G, make_group([8, 8]).element([1, 0]), x)
     with pytest.raises(DimensionMismatch):
         quotient_by_snf(make_group([1, 1]), x)
+    # the oracle used to answer True, and the coordinates were truncated
+    wide = make_group([4, 4, 4]).element([1, 0, 0])
+    with pytest.raises(DimensionMismatch):
+        is_automorphic_image_bruteforce(G, wide, G.element([1, 0]))
+    with pytest.raises(DimensionMismatch):
+        is_automorphic_image_bruteforce(G, make_group([8, 8]).element([1, 0]), wide)
+    with pytest.raises(DimensionMismatch):
+        brute_quotient_key(G, wide)
+    with pytest.raises(DimensionMismatch):
+        to_invariant_coordinates(G, wide)
+
+
+def test_unknown_method_rejected_before_order_precheck():
+    # orders 4 and 2 differ, so the pre-check used to answer False first
+    G = make_group([4, 4])
+    for y in (G.element([2, 0]), G.element([0, 1])):
+        with pytest.raises(ValueError):
+            are_automorphic(G, G.element([1, 0]), y, method="bogus")
 
 
 def test_element_of_equal_group_accepted():

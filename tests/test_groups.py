@@ -10,7 +10,7 @@ from _support import (
     groups_up_to,
     order_census,
 )
-from autorbit.errors import DimensionMismatch, NonPositiveModulus
+from autorbit.errors import DimensionMismatch, ForeignElement, NonPositiveModulus
 from autorbit.fastquot import sylow_decompose
 from autorbit.groups import (
     CanonicalGroupKey,
@@ -177,6 +177,19 @@ def test_element_algebra():
     assert (x + (-x)).is_identity()
     assert (2 * x).coords == (2, 4)
     assert (x - x).is_identity()
+
+
+def test_element_arithmetic_rejects_other_groups():
+    # the difference used to be the identity of C4 x C4, and a sum with a
+    # C4^3 element was truncated to (2, 2)
+    x = make_group([4, 4]).element([1, 1])
+    with pytest.raises(ForeignElement):
+        x - make_group([8, 8]).element([1, 1])
+    with pytest.raises(ForeignElement):
+        x + make_group([8, 8]).element([1, 1])
+    with pytest.raises(DimensionMismatch):
+        x + make_group([4, 4, 4]).element([1, 1, 1])
+    assert (x + make_group([4, 4]).element([1, 3])).coords == (2, 0)
 
 
 def test_coordinates_reduced():

@@ -207,12 +207,6 @@ def test_capacity_cap_enforced():
         p_group_orbits(2, (1, 2), cap=5)
 
 
-def test_reduced_form_merge_rejects_shared_primes():
-    rf = ReducedForm(((2, (1,)),))
-    with pytest.raises(ValueError):
-        rf.merge(rf)
-
-
 def test_orbit_summary_fields():
     s = enumerate_orbits(make_group([4]))[0]
     assert isinstance(s, OrbitSummary)
