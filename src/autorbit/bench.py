@@ -111,8 +111,12 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerFit:
     """
     if len(points) < 2:
         raise ValueError("need at least two points to fit")
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(t) for _, t in points]
+    # Logs are taken of ratios to the first point.  For data proportional to
+    # n the two ratio lists are then bit-identical and the slope is exactly
+    # 1.0; logs of the raw values round apart and can fit 0.9999999999999998.
+    n0, t0 = points[0]
+    xs = [math.log(n / n0) for n, _ in points]
+    ys = [math.log(t / t0) for _, t in points]
     mx = statistics.fmean(xs)
     my = statistics.fmean(ys)
     sxx = sum((a - mx) ** 2 for a in xs)
@@ -123,7 +127,8 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerFit:
     r2 = 1.0 if syy == 0 else 1.0 - sum(
         (b - (intercept + slope * a)) ** 2 for a, b in zip(xs, ys)
     ) / syy
-    return PowerFit(math.exp(intercept), slope, r2)
+    coefficient = math.exp(intercept + math.log(t0) - slope * math.log(n0))
+    return PowerFit(coefficient, slope, r2)
 
 
 def rows_to_csv(rows: Sequence[BenchRow]) -> str:

@@ -40,6 +40,15 @@ class SpecError(Exception):
     """A group/element spec failed to parse."""
 
 
+# The errors a command may raise, each printed as "error: ..." with its code.
+ERROR_EXIT_CODES = {
+    SpecError: EXIT_PARSE,
+    DimensionMismatch: EXIT_ARITY,
+    FactorizationFailure: EXIT_FACTORIZATION,
+    CapacityExceeded: EXIT_CAPACITY,
+}
+
+
 def parse_int_list(spec: str) -> list[int]:
     try:
         return [int(part.strip()) for part in spec.split(",")]
@@ -294,18 +303,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
         return args.func(args)
-    except SpecError as exc:
+    except tuple(ERROR_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARITY
-    except FactorizationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FACTORIZATION
-    except CapacityExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return next(code for kind, code in ERROR_EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ the quotient (the carry term max(0, e - f) vanishes and min(f, e) = e).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from . import kernels
 from .arith import nu
@@ -22,79 +22,52 @@ from .errors import InvalidValuation
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, check_elements
 
 
-@dataclass(frozen=True)
-class PPrimaryPart:
-    """One p-primary component of a group together with an element's valuations.
+def sylow_decompose(G: AbelianGroup, x: GroupElement) -> dict[int, tuple[list[int], list[int]]]:
+    """Per prime dividing |G|, the position-aligned lists (fs, es) of x's
+    valuations and the component exponents of the p-primary part.
 
-    ``pairs`` holds position-aligned (f_i, e_i): the component is C_{p^{e_i}}
-    and the element's coordinate there is a unit times p^{f_i}, with f_i = e_i
-    for a zero coordinate.
-    """
-
-    prime: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for f, e in self.pairs:
-            if e < 1:
-                raise ValueError(f"component exponent must be >= 1, got {e}")
-            if f < 0 or f > e:
-                raise InvalidValuation(f"valuation {f} outside [0, {e}]")
-
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.pairs)
-
-    def valuations(self) -> tuple[int, ...]:
-        return tuple(f for f, _ in self.pairs)
-
-
-def normalize_element_valuations(G: AbelianGroup, x: GroupElement, p: int) -> PPrimaryPart:
-    """Valuations of x's coordinates inside the p-primary part of G.
-
-    For each coordinate whose order p divides, f_i is the p-adic valuation of
-    the coordinate's residue mod p^{e_i}, clamped to e_i when that residue is
-    zero; unit multipliers are discarded.
-
-    >>> from .groups import make_group
-    >>> G = make_group([2, 4, 8, 8])
-    >>> part = normalize_element_valuations(G, G.element([2, 1, 2, 4]), 2)
-    >>> part.valuations(), part.exponents()
-    ((1, 0, 1, 2), (1, 2, 3, 3))
-    """
-    triples = G._primary.get(p)
-    if not triples:
-        raise ValueError(f"{p} does not divide the group order")
-    pairs = []
-    for pos, e, pe in triples:
-        r = x.coords[pos] % pe
-        pairs.append(((e if r == 0 else nu(p, r)), e))
-    return PPrimaryPart(p, tuple(pairs))
-
-
-def sylow_decompose(G: AbelianGroup, x: GroupElement) -> dict[int, PPrimaryPart]:
-    """Split G and x into p-primary parts, one PPrimaryPart per prime dividing |G|.
-
+    The component at position i is C_{p^{e_i}} and x's coordinate there is a
+    unit times p^{f_i}, with f_i clamped to e_i for a zero coordinate.
     Raises DimensionMismatch when x's arity differs from G's, and
     ForeignElement when x belongs to another group.
 
     >>> from .groups import make_group
-    >>> G = make_group([6])
-    >>> {p: part.pairs for p, part in sylow_decompose(G, G.element([3])).items()}
-    {2: ((0, 1),), 3: ((1, 1),)}
+    >>> G = make_group([2, 4, 8, 8])
+    >>> sylow_decompose(G, G.element([2, 1, 2, 4]))
+    {2: ([1, 0, 1, 2], [1, 2, 3, 3])}
+    >>> sylow_decompose(make_group([6]), make_group([6]).element([3]))
+    {2: ([0], [1]), 3: ([1], [1])}
     """
     check_elements(G, x)
-    return {p: normalize_element_valuations(G, x, p) for p in G.primes()}
+    coords = x.coords
+    parts = {}
+    for p, triples in G._primary.items():
+        fs = []
+        es = []
+        for pos, e, pe in triples:
+            r = coords[pos] % pe
+            fs.append(nu(p, r) if r else e)
+            es.append(e)
+        parts[p] = (fs, es)
+    return parts
 
 
-def p_group_quotient(part: PPrimaryPart) -> list[int]:
-    """Exponents of (p-primary part) / <element>, descending, zeros dropped.
+def p_group_quotient(fs: Sequence[int], es: Sequence[int]) -> list[int]:
+    """Exponents of a p-group / <element>, descending, zeros dropped.
 
-    >>> p_group_quotient(PPrimaryPart(2, ((0, 2), (1, 1), (1, 3), (2, 3))))
+    ``fs`` and ``es`` are position-aligned valuations and component
+    exponents.  Raises ValueError for an exponent below 1 or lists of unequal
+    length, and InvalidValuation for a valuation outside [0, e].
+
+    >>> p_group_quotient([0, 1, 1, 2], [2, 1, 3, 3])
     [3, 3, 1]
     """
-    pairs = part.pairs
-    survivors = kernels.pgroup_sweep([f for f, _ in pairs], [e for _, e in pairs])
-    return sorted(filter(None, survivors), reverse=True)
+    for f, e in zip(fs, es):
+        if e < 1:
+            raise ValueError(f"component exponent must be >= 1, got {e}")
+        if f < 0 or f > e:
+            raise InvalidValuation(f"valuation {f} outside [0, {e}]")
+    return sorted(filter(None, kernels.pgroup_sweep(fs, es)), reverse=True)
 
 
 def quotient(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
@@ -105,9 +78,6 @@ def quotient(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
     >>> quotient(G, G.element([2, 1, 2, 4])).parts
     ((2, (3, 3, 1)),)
     """
-    primary = {}
-    for p, part in sylow_decompose(G, x).items():
-        exps = p_group_quotient(part)
-        if exps:
-            primary[p] = exps
-    return CanonicalGroupKey.from_map(primary)
+    return CanonicalGroupKey.from_map(
+        {p: p_group_quotient(fs, es) for p, (fs, es) in sylow_decompose(G, x).items()}
+    )

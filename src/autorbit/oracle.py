@@ -55,6 +55,17 @@ def _scale(k, a, moduli):
     return tuple((k * x) % d for x, d in zip(a, moduli))
 
 
+def _apply(coords, images, moduli) -> tuple[int, ...]:
+    """Coordinates of sum_i coords[i] * images[i], reduced by the moduli,
+    where images are the generators' images as raw coordinate tuples."""
+    acc = [0] * len(moduli)
+    for c, img in zip(coords, images):
+        if c:
+            for j, v in enumerate(img):
+                acc[j] += c * v
+    return tuple(a % d for a, d in zip(acc, moduli))
+
+
 def _generates_group(images, moduli, full_order) -> bool:
     """Do the candidate generator images span the whole group?  (For an
     endomorphism of a finite group, surjective == bijective.)"""
@@ -115,19 +126,18 @@ def _raw_automorphisms(moduli: tuple[int, ...], cap: int) -> tuple[tuple[tuple[i
 
 @dataclass(frozen=True)
 class EndomorphismTable:
-    """An endomorphism given by the images of the presentation's generators."""
+    """An endomorphism of ``group`` given by the images of its presentation's
+    generators."""
 
+    group: AbelianGroup
     images: tuple[GroupElement, ...]
 
     def apply(self, x: GroupElement) -> GroupElement:
-        parent = x.parent
-        moduli = parent.moduli
-        acc = [0] * len(moduli)
-        for c, img in zip(x.coords, self.images):
-            if c:
-                for j, v in enumerate(img.coords):
-                    acc[j] += c * v
-        return GroupElement(parent, tuple(a % d for a, d in zip(acc, moduli)))
+        """The image of x.  Raises DimensionMismatch or ForeignElement for an
+        element not of the table's group."""
+        G = self.group
+        check_elements(G, x)
+        return GroupElement(G, _apply(x.coords, (img.coords for img in self.images), G.moduli))
 
 
 def enumerate_automorphisms(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[EndomorphismTable]:
@@ -145,7 +155,7 @@ def enumerate_automorphisms(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[End
     """
     raw = _raw_automorphisms(G.moduli, cap)
     return [
-        EndomorphismTable(tuple(GroupElement(G, img) for img in images))
+        EndomorphismTable(G, tuple(GroupElement(G, img) for img in images))
         for images in raw
     ]
 
@@ -160,15 +170,9 @@ def is_automorphic_image_bruteforce(
     """
     check_elements(G, x, y)
     moduli = G.moduli
-    n = len(moduli)
     target = y.coords
     for images in _raw_automorphisms(moduli, cap):
-        acc = [0] * n
-        for c, img in zip(x.coords, images):
-            if c:
-                for j in range(n):
-                    acc[j] += c * img[j]
-        if tuple(a % d for a, d in zip(acc, moduli)) == target:
+        if _apply(x.coords, images, moduli) == target:
             return True
     return False
 
@@ -183,20 +187,12 @@ def brute_orbits(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[frozenset[Grou
     """
     tables = _raw_automorphisms(G.moduli, cap)
     moduli = G.moduli
-    n = len(moduli)
     orbits = []
     placed = set()
     for start in _all_coords(moduli):
         if start in placed:
             continue
-        orbit = set()
-        for images in tables:
-            acc = [0] * n
-            for c, img in zip(start, images):
-                if c:
-                    for j in range(n):
-                        acc[j] += c * img[j]
-            orbit.add(tuple(a % d for a, d in zip(acc, moduli)))
+        orbit = {_apply(start, images, moduli) for images in tables}
         placed |= orbit
         orbits.append(frozenset(GroupElement(G, c) for c in orbit))
     return orbits

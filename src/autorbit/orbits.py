@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from operator import getitem
 
 from .arith import crt, phi_prime_power
-from .errors import CapacityExceeded
-from .fastquot import PPrimaryPart, p_group_quotient, sylow_decompose
+from .errors import CapacityExceeded, DimensionMismatch, InvalidValuation
+from .fastquot import p_group_quotient, sylow_decompose
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -49,13 +49,22 @@ class ReducedForm:
         return dict(self.parts)
 
     def realize(self, G: AbelianGroup) -> GroupElement:
-        """The concrete element of G this reduced form names."""
+        """The concrete element of G this reduced form names.
+
+        Raises DimensionMismatch for a prime that does not divide |G| or a
+        per-prime arity that differs from G's, and InvalidValuation for an
+        exponent b outside [0, e].
+        """
         congruences: list[list[tuple[int, int]]] = [[] for _ in G.moduli]
         for p, bs in self.parts:
-            triples = G._primary[p]
+            triples = G._primary.get(p, ())
             if len(bs) != len(triples):
-                raise ValueError(f"arity mismatch for prime {p}")
-            for (pos, _e, pe), b in zip(triples, bs):
+                raise DimensionMismatch(
+                    f"expected {len(triples)} exponents for prime {p}, got {len(bs)}"
+                )
+            for (pos, e, pe), b in zip(triples, bs):
+                if b < 0 or b > e:
+                    raise InvalidValuation(f"valuation {b} outside [0, {e}]")
                 congruences[pos].append((pe, pow(p, b) % pe))
         return GroupElement(G, tuple(crt(c) for c in congruences))
 
@@ -80,7 +89,7 @@ def reduced_form(G: AbelianGroup, x: GroupElement) -> ReducedForm:
     ((2, (0, 1)),)
     """
     return ReducedForm.from_map(
-        {p: part.valuations() for p, part in sylow_decompose(G, x).items()}
+        {p: fs for p, (fs, _es) in sylow_decompose(G, x).items()}
     )
 
 
@@ -116,8 +125,7 @@ def p_group_orbits(
         key = tuple(sorted(zip(b, exponents))) if repeats else b
         exps = memo.get(key)
         if exps is None:
-            part = PPrimaryPart(p, tuple(zip(b, exponents)))
-            exps = memo[key] = tuple(p_group_quotient(part))
+            exps = memo[key] = tuple(p_group_quotient(b, exponents))
         count = math.prod(map(getitem, tables, b))
         bucket = buckets.get(exps)
         if bucket is None:

@@ -6,7 +6,7 @@ import itertools
 from functools import lru_cache
 
 from autorbit.arith import factorize, phi_prime_power
-from autorbit.fastquot import PPrimaryPart, p_group_quotient
+from autorbit.fastquot import p_group_quotient
 from autorbit.groups import AbelianGroup, CanonicalGroupKey, GroupElement
 from autorbit.orbits import OrbitSummary, ReducedForm
 
@@ -108,7 +108,7 @@ def reference_orbits(G: AbelianGroup) -> list[OrbitSummary]:
         exponents = G.primary_exponents(p)
         buckets: dict[CanonicalGroupKey, tuple[list, list]] = {}
         for b in itertools.product(*(range(e + 1) for e in exponents)):
-            exps = p_group_quotient(PPrimaryPart(p, tuple(zip(b, exponents))))
+            exps = p_group_quotient(b, exponents)
             key = CanonicalGroupKey.from_map({p: exps})
             count = 1
             for b_i, e_i in zip(b, exponents):

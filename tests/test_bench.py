@@ -13,6 +13,14 @@ def test_fit_power_law_recovers_exact_parameters():
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("slope", [7, 12, 13, 14, 16, 28])
+def test_fit_power_law_exact_on_linear_counts(slope):
+    # criterion 7 fits per-rank call-count increments and requires an
+    # exponent >= 1.0; slopes 14 and 28 used to fit 0.9999999999999998
+    points = [(n, slope * n) for n in (4, 8, 16, 32, 64, 128, 256)]
+    assert bench.fit_power_law(points).exponent == 1.0
+
+
 def test_fit_power_law_needs_two_points():
     with pytest.raises(ValueError):
         bench.fit_power_law([(4, 1.0)])

@@ -2,9 +2,9 @@ import doctest
 
 import pytest
 
-from autorbit import arith, bench, fastquot, groups, oracle, orbits, snf
+from autorbit import arith, bench, equivalence, fastquot, groups, oracle, orbits, snf
 
-MODULES = [arith, bench, fastquot, groups, oracle, orbits, snf]
+MODULES = [arith, bench, equivalence, fastquot, groups, oracle, orbits, snf]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

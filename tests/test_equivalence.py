@@ -104,6 +104,13 @@ def test_foreign_element_rejected():
         brute_quotient_key(G, make_group([8, 8]).element([4, 0]))
     with pytest.raises(ForeignElement):
         to_invariant_coordinates(G, x)
+    # apply used to answer (0, 1) in C8 x C8, and (3, 2, 0) for the wider
+    # element by truncating its coordinates
+    table = enumerate_automorphisms(G)[5]
+    with pytest.raises(ForeignElement):
+        table.apply(x)
+    with pytest.raises(DimensionMismatch):
+        table.apply(make_group([4, 4, 4]).element([1, 1, 1]))
 
 
 def test_arity_checked_before_parent():

@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 from _support import groups_up_to
 from autorbit.arith import nu
 from autorbit.errors import InvalidValuation
-from autorbit.fastquot import (
-    PPrimaryPart,
-    normalize_element_valuations,
-    p_group_quotient,
-    quotient,
-    sylow_decompose,
-)
+from autorbit.fastquot import p_group_quotient, quotient, sylow_decompose
 from autorbit.groups import CanonicalGroupKey, element_order, make_group
 from autorbit.oracle import brute_quotient_key
 from autorbit.snf import quotient_by_snf
@@ -24,19 +18,16 @@ pair_lists = st.lists(
 
 
 def test_sweep_worked_example():
-    part = PPrimaryPart(2, ((0, 2), (1, 1), (1, 3), (2, 3)))
-    assert p_group_quotient(part) == [3, 3, 1]
+    assert p_group_quotient([0, 1, 1, 2], [2, 1, 3, 3]) == [3, 3, 1]
 
 
 def test_sweep_identity_element():
     es = (2, 1, 3, 3)
-    part = PPrimaryPart(2, tuple((e, e) for e in es))
-    assert p_group_quotient(part) == sorted(es, reverse=True)
+    assert p_group_quotient(es, es) == sorted(es, reverse=True)
 
 
 def test_sweep_two_component_example():
-    part = PPrimaryPart(2, ((0, 1), (1, 2)))
-    assert p_group_quotient(part) == [2]
+    assert p_group_quotient([0, 1], [1, 2]) == [2]
     G = make_group([2, 4])
     x = G.element([1, 2])
     assert quotient(G, x).primary_parts == {2: (2,)}
@@ -46,11 +37,13 @@ def test_sweep_two_component_example():
 
 def test_invalid_valuation_rejected():
     with pytest.raises(InvalidValuation):
-        PPrimaryPart(2, ((3, 2),))
+        p_group_quotient([3], [2])
     with pytest.raises(InvalidValuation):
-        PPrimaryPart(2, ((-1, 2),))
+        p_group_quotient([-1], [2])
     with pytest.raises(ValueError):
-        PPrimaryPart(2, ((0, 0),))
+        p_group_quotient([0], [0])
+    with pytest.raises(ValueError):
+        p_group_quotient([0, 1], [2])
 
 
 def test_quotient_worked_example():
@@ -74,33 +67,27 @@ def test_quotient_mixed_primes_against_oracles():
 
 def test_normalize_valuations_worked_example():
     G = make_group([2, 4, 8, 8])
-    part = normalize_element_valuations(G, G.element([2, 1, 2, 4]), 2)
-    assert part.valuations() == (1, 0, 1, 2)
-    assert part.exponents() == (1, 2, 3, 3)
-    assert sorted(part.pairs) == [(0, 2), (1, 1), (1, 3), (2, 3)]
+    fs, es = sylow_decompose(G, G.element([2, 1, 2, 4]))[2]
+    assert fs == [1, 0, 1, 2]
+    assert es == [1, 2, 3, 3]
+    assert sorted(zip(fs, es)) == [(0, 2), (1, 1), (1, 3), (2, 3)]
 
 
 def test_normalize_valuations_zero_coordinate_clamps():
     G = make_group([4, 4])
-    part = normalize_element_valuations(G, G.element([2, 0]), 2)
-    assert part.pairs == ((1, 2), (2, 2))
+    fs, es = sylow_decompose(G, G.element([2, 0]))[2]
+    assert list(zip(fs, es)) == [(1, 2), (2, 2)]
     key = quotient(G, G.element([2, 0]))
     assert key == brute_quotient_key(G, G.element([2, 0]))
     assert key.primary_parts == {2: (2, 1)}
 
 
-def test_normalize_valuations_rejects_coprime_prime():
-    G = make_group([4, 4])
-    with pytest.raises(ValueError):
-        normalize_element_valuations(G, G.element([1, 1]), 3)
-
-
 @given(pair_lists, st.randoms(use_true_random=False))
 def test_sweep_is_permutation_invariant(pairs, rng):
-    base = p_group_quotient(PPrimaryPart(2, tuple(pairs)))
+    base = p_group_quotient(*zip(*pairs))
     shuffled = list(pairs)
     rng.shuffle(shuffled)
-    assert p_group_quotient(PPrimaryPart(2, tuple(shuffled))) == base
+    assert p_group_quotient(*zip(*shuffled)) == base
 
 
 def _quotient_remove_variant(G, x):
@@ -119,7 +106,7 @@ def _quotient_remove_variant(G, x):
                 kept.append((nu(p, r), e))
         exps = []
         if kept:
-            exps.extend(p_group_quotient(PPrimaryPart(p, tuple(kept))))
+            exps.extend(p_group_quotient(*zip(*kept)))
         exps.extend(reattached)
         exps = [e for e in exps if e]
         if exps:

@@ -4,7 +4,7 @@ import pytest
 
 from _support import divisor_count, groups_up_to, reference_orbits
 from autorbit.equivalence import are_automorphic, quotient_key
-from autorbit.errors import CapacityExceeded
+from autorbit.errors import CapacityExceeded, DimensionMismatch, InvalidValuation
 from autorbit.groups import make_group
 from autorbit.oracle import brute_orbits
 from autorbit.orbits import (
@@ -38,6 +38,20 @@ def test_realize_round_trips():
         for x in G.elements():
             rf = reduced_form(G, x)
             assert reduced_form(G, rf.realize(G)) == rf
+
+
+@pytest.mark.parametrize(
+    "parts, error",
+    [
+        (((2, (-1,)),), InvalidValuation),  # used to give the coordinate 0.5
+        (((2, (3,)),), InvalidValuation),  # used to give the identity
+        (((3, (1,)),), DimensionMismatch),  # used to raise a bare KeyError
+        (((2, (1, 1)),), DimensionMismatch),  # used to raise a bare ValueError
+    ],
+)
+def test_realize_rejects_bad_forms(parts, error):
+    with pytest.raises(error):
+        ReducedForm(parts).realize(make_group([4]))
 
 
 def test_p_group_orbits_cyclic_four():
