@@ -4,8 +4,8 @@ Two elements of a finite abelian group are automorphic images of each other
 exactly when the quotients by the cyclic subgroups they generate are
 isomorphic.  This package decides that criterion two independent ways (a
 per-prime valuation sweep and a Smith-normal-form reference), enumerates all
-automorphic orbits with exact sizes, and ships a brute-force oracle plus a
-benchmark harness comparing the two paths.
+automorphic orbits with exact sizes, and ships a brute-force oracle that
+checks both.
 
 The package exports the documented entry points.  The oracle, the
 Smith-normal-form route, the kernels and the per-prime helpers are imported

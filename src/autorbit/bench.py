@@ -1,16 +1,17 @@
-"""Timing harness and analytic cost model for the two quotient paths.
+"""Scaling helpers and analytic cost model for the two quotient paths.
 
-Measures the equivalence decision on the uniform family C4^n with
-x = (1, ..., 1) and y = (3, ..., 3), so the group exponent stays constant
-while the rank grows.  Timing uses a monotonic clock, warm-up calls, and
-batched trials; per-rank trial means (with their spread) go into the CSV and
-the scaling exponent is a log-log least-squares fit over them.
+The scaling family is C4^n with x = (1, ..., 1) and y = (3, ..., 3), so the
+group exponent stays constant while the rank grows.  `run_scaling` times the
+decision on it with a monotonic clock, a warm-up call and batched trials,
+and `fit_power_law` fits a log-log least-squares exponent to per-rank means.
+The end-to-end benchmark is `perfbench/`; these helpers serve the
+acceptance tests.
 
-The analytic model emits operation counts for plotting the crossover between
-the two paths at exponent 10**20: the sweep path costs about
-2e7 + 4*n*67 + 67*n*log2(n) operations (factoring the exponent, valuations,
-sorting; 67 ~ log2(10**20) is the bit-length budget), against n**2.8074 for
-the matrix path.  The model crossover sits just above rank 400.
+The analytic model counts operations of one decision at exponent 10**20:
+the sweep path costs about 2e7 + 4*n*67 + 67*n*log2(n) operations
+(factoring the exponent, valuations, sorting; 67 ~ log2(10**20) is the
+bit-length budget), against n**2.8074 for the matrix path.  The model
+crossover sits just above rank 400.
 """
 
 from __future__ import annotations
@@ -24,20 +25,12 @@ from typing import Callable, Iterable, Sequence
 from .equivalence import are_automorphic
 from .groups import AbelianGroup, GroupElement
 
-CSV_HEADER = "rank,method,mean_ms,stddev_ms"
-
-# Default schedule: arithmetic steps of ten plus powers of two, so both the
-# dense low-rank region and the tail get coverage.
-_ARITHMETIC = tuple(3 + 10 * k for k in range(17))
-_GEOMETRIC = tuple(2**k for k in range(1, 10))
-
 
 @dataclass(frozen=True)
 class BenchRow:
     rank: int
     method: str
     mean_ms: float
-    stddev_ms: float
 
 
 @dataclass(frozen=True)
@@ -47,13 +40,8 @@ class PowerFit:
     r_squared: float
 
 
-def default_rank_schedule(max_rank: int = 512) -> list[int]:
-    """Default rank schedule: {3 + 10k} union {2^k}, capped."""
-    return sorted(n for n in set(_ARITHMETIC) | set(_GEOMETRIC) if n <= max_rank)
-
-
 def c4_instance(rank: int) -> tuple[AbelianGroup, GroupElement, GroupElement]:
-    """The benchmark family: C4^rank with x all-ones and y all-threes."""
+    """The scaling family: C4^rank with x all-ones and y all-threes."""
     G = AbelianGroup([4] * rank)
     return G, G.element([1] * rank), G.element([3] * rank)
 
@@ -81,19 +69,14 @@ def run_scaling(
     ranks: Iterable[int],
     methods: Sequence[str] = ("fast", "snf"),
     trials: int = 5,
-    snf_max_rank: int | None = None,
 ) -> list[BenchRow]:
-    """Time the decision procedure per rank and method; returns CSV-ready rows."""
+    """Mean milliseconds of one decision per rank and method, over trials."""
     rows = []
     for rank in ranks:
         G, x, y = c4_instance(rank)
         for method in methods:
-            if method == "snf" and snf_max_rank is not None and rank > snf_max_rank:
-                continue
             samples = _time_callable(lambda: are_automorphic(G, x, y, method=method), trials)
-            mean_ms = statistics.fmean(samples) * 1e3
-            stddev_ms = (statistics.stdev(samples) * 1e3) if len(samples) > 1 else 0.0
-            rows.append(BenchRow(rank, method, mean_ms, stddev_ms))
+            rows.append(BenchRow(rank, method, statistics.fmean(samples) * 1e3))
     return rows
 
 
@@ -131,16 +114,7 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerFit:
     return PowerFit(coefficient, slope, r2)
 
 
-def rows_to_csv(rows: Sequence[BenchRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(f"{r.rank},{r.method},{r.mean_ms:.6f},{r.stddev_ms:.6f}")
-    return "\n".join(lines) + "\n"
-
-
 # --- analytic model -------------------------------------------------------
-
-MODEL_CSV_HEADER = "rank,fast_model_ops,snf_model_ops"
 
 
 def model_operation_counts(rank: int) -> tuple[float, float]:
@@ -152,12 +126,6 @@ def model_operation_counts(rank: int) -> tuple[float, float]:
     return fast_ops, snf_ops
 
 
-def model_rows(max_rank: int = 600, step: int = 1) -> list[tuple[int, float, float]]:
-    return [
-        (n, *model_operation_counts(n)) for n in range(1, max_rank + 1, step)
-    ]
-
-
 def model_crossover(max_rank: int = 100_000) -> int:
     """Smallest rank at which the sweep-path model undercuts the matrix-path
     model; the matrix path wins below it."""
@@ -167,9 +135,3 @@ def model_crossover(max_rank: int = 100_000) -> int:
             return n
     raise ValueError(f"no crossover below rank {max_rank}")
 
-
-def model_to_csv(rows: Sequence[tuple[int, float, float]]) -> str:
-    lines = [MODEL_CSV_HEADER]
-    for n, fast_ops, snf_ops in rows:
-        lines.append(f"{n},{fast_ops:.3f},{snf_ops:.3f}")
-    return "\n".join(lines) + "\n"

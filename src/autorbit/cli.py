@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 
-from . import bench as bench_mod
 from . import oracle
 from .arith import factorize
 from .equivalence import are_automorphic, quotient_key
@@ -197,39 +196,6 @@ def cmd_factor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.model:
-        rows = bench_mod.model_rows(max_rank=args.max_rank if args.max_rank else 600)
-        sys.stdout.write(bench_mod.model_to_csv(rows))
-        print(f"model crossover rank: {bench_mod.model_crossover()}", file=sys.stderr)
-        return EXIT_OK
-    if args.ranks:
-        ranks = parse_int_list(args.ranks)
-    else:
-        ranks = bench_mod.default_rank_schedule(args.max_rank or 64)
-    methods = tuple(m.strip() for m in args.methods.split(","))
-    for m in methods:
-        if m not in ("fast", "snf"):
-            raise SpecError(f"unknown method {m!r}")
-    rows = bench_mod.run_scaling(
-        ranks,
-        methods=methods,
-        trials=args.trials,
-        snf_max_rank=args.snf_max_rank,
-    )
-    sys.stdout.write(bench_mod.rows_to_csv(rows))
-    for method in sorted({r.method for r in rows}):
-        points = bench_mod.method_points(rows, method)
-        if len(points) >= 2:
-            fit = bench_mod.fit_power_law(points)
-            print(
-                f"fit {method}: mean_ms ~= {fit.coefficient:.6g} * rank^{fit.exponent:.4f}"
-                f" (r2={fit.r_squared:.4f})",
-                file=sys.stderr,
-            )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="autorbit",
@@ -275,23 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--format", choices=("text", "json"), default="text")
     f.set_defaults(func=cmd_factor)
 
-    b = sub.add_parser("bench", help="time the fast and snf paths on C4^n")
-    b.add_argument("--max-rank", type=int, default=None)
-    b.add_argument("--ranks", help="explicit comma-separated rank list")
-    b.add_argument("--trials", type=int, default=5)
-    b.add_argument("--methods", default="fast,snf")
-    b.add_argument(
-        "--snf-max-rank",
-        type=int,
-        default=128,
-        help="skip the snf method above this rank (it is cubic)",
-    )
-    b.add_argument(
-        "--model",
-        action="store_true",
-        help="emit the analytic operation-count curves instead of timings",
-    )
-    b.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -101,16 +101,6 @@ class CanonicalGroupKey:
         out.reverse()
         return out
 
-    def merge(self, other: "CanonicalGroupKey") -> "CanonicalGroupKey":
-        """Union of keys with disjoint prime support (direct sum of coprime parts)."""
-        mine = self.primary_parts
-        theirs = other.primary_parts
-        overlap = mine.keys() & theirs.keys()
-        if overlap:
-            raise ValueError(f"keys share primes {sorted(overlap)}")
-        mine.update(theirs)
-        return CanonicalGroupKey.from_map({p: list(v) for p, v in mine.items()})
-
     def describe_elementary(self) -> str:
         return format_cyclic(self.elementary_divisors())
 

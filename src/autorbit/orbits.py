@@ -51,13 +51,16 @@ class ReducedForm:
     def realize(self, G: AbelianGroup) -> GroupElement:
         """The concrete element of G this reduced form names.
 
-        Raises DimensionMismatch for a prime that does not divide |G| or a
-        per-prime arity that differs from G's, and InvalidValuation for an
+        Raises DimensionMismatch unless the form's primes, in order, are G's
+        primes and each per-prime arity is G's, and InvalidValuation for an
         exponent b outside [0, e].
         """
+        primes = tuple(p for p, _ in self.parts)
+        if primes != G.primes():
+            raise DimensionMismatch(f"expected a form over the primes {G.primes()}, got {primes}")
         congruences: list[list[tuple[int, int]]] = [[] for _ in G.moduli]
         for p, bs in self.parts:
-            triples = G._primary.get(p, ())
+            triples = G._primary[p]
             if len(bs) != len(triples):
                 raise DimensionMismatch(
                     f"expected {len(triples)} exponents for prime {p}, got {len(bs)}"

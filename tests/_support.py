@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from autorbit.arith import factorize, phi_prime_power
@@ -101,7 +102,7 @@ def divisor_count(n: int) -> int:
 
 def reference_orbits(G: AbelianGroup) -> list[OrbitSummary]:
     """enumerate_orbits the slow way: one sweep and one canonical key per
-    reduced form, per-prime orbits combined by merging keys.  Same output
+    reduced form, per-prime orbits combined by joining their keys.  Same output
     order: orbits by first occurrence, forms in odometer order."""
     per_prime = []
     for p in G.primes():
@@ -122,11 +123,8 @@ def reference_orbits(G: AbelianGroup) -> list[OrbitSummary]:
         )
     out = []
     for combo in itertools.product(*per_prime):
-        key = CanonicalGroupKey(())
-        size = 1
-        for o in combo:
-            key = key.merge(o.quotient_key)
-            size *= o.size
+        key = CanonicalGroupKey.from_map({p: e for o in combo for p, e in o.quotient_key.parts})
+        size = math.prod(o.size for o in combo)
         reps = tuple(
             ReducedForm(tuple(itertools.chain.from_iterable(rf.parts for rf in row)))
             for row in itertools.product(*(o.representatives for o in combo))

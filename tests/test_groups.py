@@ -205,11 +205,3 @@ def test_canonical_key_renderings():
     assert key.describe_elementary() == "C2 x C3 x C4"
     assert key.describe_invariant() == "C2 x C12"
     assert CanonicalGroupKey(()).describe_invariant() == "C1"
-
-
-def test_canonical_key_merge_disjoint():
-    a = CanonicalGroupKey.from_map({2: [1]})
-    b = CanonicalGroupKey.from_map({3: [2]})
-    assert a.merge(b).primary_parts == {2: (1,), 3: (2,)}
-    with pytest.raises(ValueError):
-        a.merge(a)

@@ -38,20 +38,29 @@ def test_realize_round_trips():
         for x in G.elements():
             rf = reduced_form(G, x)
             assert reduced_form(G, rf.realize(G)) == rf
+    assert ReducedForm(()).realize(make_group([1])).coords == (0,)
 
 
+BAD_FORMS = [
+    ([4], ((2, (-1,)),), InvalidValuation),  # used to give the coordinate 0.5
+    ([4], ((2, (3,)),), InvalidValuation),  # used to give the identity
+    ([4], ((3, (1,)),), DimensionMismatch),  # used to raise a bare KeyError
+    ([4], ((2, (1, 1)),), DimensionMismatch),  # used to raise a bare ValueError
+    ([6], ((2, (0,)),), DimensionMismatch),  # no 3-part: used to give 1
+    ([12, 9], ((3, (1, 0)),), DimensionMismatch),  # no 2-part: used to give (0, 1)
+    ([6], ((2, (0,)), (2, (0,))), DimensionMismatch),  # right length, wrong primes
+]
+
+
+# The ids leave out the group, so each case keeps one stable name as cases are added.
 @pytest.mark.parametrize(
-    "parts, error",
-    [
-        (((2, (-1,)),), InvalidValuation),  # used to give the coordinate 0.5
-        (((2, (3,)),), InvalidValuation),  # used to give the identity
-        (((3, (1,)),), DimensionMismatch),  # used to raise a bare KeyError
-        (((2, (1, 1)),), DimensionMismatch),  # used to raise a bare ValueError
-    ],
+    "moduli, parts, error",
+    BAD_FORMS,
+    ids=[f"parts{i}-{error.__name__}" for i, (_, _, error) in enumerate(BAD_FORMS)],
 )
-def test_realize_rejects_bad_forms(parts, error):
+def test_realize_rejects_bad_forms(moduli, parts, error):
     with pytest.raises(error):
-        ReducedForm(parts).realize(make_group([4]))
+        ReducedForm(parts).realize(make_group(moduli))
 
 
 def test_p_group_orbits_cyclic_four():
