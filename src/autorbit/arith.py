@@ -139,18 +139,18 @@ def _trial_divide(n: int, out: dict[int, int]) -> int:
 
 
 @lru_cache(maxsize=65536)
-def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
+def _factorize_cached(n: int, iterations: int, restarts: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
     rest = _trial_divide(n, out)
-    _factor_into(rest, out, DEFAULT_RHO_ITERATIONS, DEFAULT_RHO_RESTARTS)
+    _factor_into(rest, out, iterations, restarts)
     return tuple(sorted(out.items()))
 
 
 def factorize(
     n: int,
     *,
-    max_rho_iterations: int | None = None,
-    max_rho_restarts: int | None = None,
+    max_rho_iterations: int = DEFAULT_RHO_ITERATIONS,
+    max_rho_restarts: int = DEFAULT_RHO_RESTARTS,
 ) -> dict[int, int]:
     """Complete prime factorization of n >= 1 as an ordered prime -> multiplicity map.
 
@@ -162,21 +162,14 @@ def factorize(
     {2: 20, 5: 20}
 
     Raises FactorizationFailure if a composite cofactor survives the rho
-    budget (unreachable in practice below ~10**20 with the defaults).
+    budget (unreachable in practice below ~10**20 with the defaults), and
+    ValueError for n < 1 or a budget below 1.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    if max_rho_iterations is None and max_rho_restarts is None:
-        return dict(_factorize_cached(n))
-    out: dict[int, int] = {}
-    rest = _trial_divide(n, out)
-    _factor_into(
-        rest,
-        out,
-        max_rho_iterations or DEFAULT_RHO_ITERATIONS,
-        max_rho_restarts or DEFAULT_RHO_RESTARTS,
-    )
-    return dict(sorted(out.items()))
+    if max_rho_iterations < 1 or max_rho_restarts < 1:
+        raise ValueError(f"rho budgets must be >= 1, got {max_rho_iterations} and {max_rho_restarts}")
+    return dict(_factorize_cached(n, max_rho_iterations, max_rho_restarts))
 
 
 def nu(p: int, m: int) -> int:
@@ -212,4 +205,4 @@ def crt(congruences: list[tuple[int, int]]) -> int:
         t = ((res - r) * pow(m, -1, mod)) % mod
         r += m * t
         m *= mod
-    return r % m if m > 1 else 0
+    return r % m

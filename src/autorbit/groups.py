@@ -13,7 +13,9 @@ everything here can be shared across threads freely.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -126,7 +128,7 @@ class AbelianGroup:
     __slots__ = ("moduli", "canonical", "invariant_factors", "order", "_primary")
 
     def __init__(self, moduli: Iterable[int]):
-        mods = tuple(int(d) for d in moduli)
+        mods = tuple(map(operator.index, moduli))
         for d in mods:
             if d <= 0:
                 raise NonPositiveModulus(f"cyclic order must be >= 1, got {d}")
@@ -160,7 +162,7 @@ class AbelianGroup:
         return tuple(e for _, e, _ in self._primary.get(p, ()))
 
     def element(self, coords: Iterable[int]) -> "GroupElement":
-        cs = tuple(int(c) for c in coords)
+        cs = tuple(map(operator.index, coords))
         if len(cs) != len(self.moduli):
             raise DimensionMismatch(
                 f"expected {len(self.moduli)} coordinates, got {len(cs)}"
@@ -171,20 +173,9 @@ class AbelianGroup:
         return GroupElement(self, (0,) * len(self.moduli))
 
     def elements(self) -> Iterator["GroupElement"]:
-        """All elements in mixed-radix (odometer) order; meant for small groups."""
-        n = len(self.moduli)
-        coords = [0] * n
-        while True:
-            yield GroupElement(self, tuple(coords))
-            i = n - 1
-            while i >= 0:
-                coords[i] += 1
-                if coords[i] < self.moduli[i]:
-                    break
-                coords[i] = 0
-                i -= 1
-            else:
-                return
+        """All elements in odometer order, last coordinate fastest; meant for small groups."""
+        for coords in itertools.product(*map(range, self.moduli)):
+            yield GroupElement(self, coords)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AbelianGroup):
@@ -228,6 +219,7 @@ class GroupElement:
         return self + (-other)
 
     def __rmul__(self, k: int) -> "GroupElement":
+        k = operator.index(k)
         return GroupElement(
             self.parent,
             tuple((k * a) % d for a, d in zip(self.coords, self.parent.moduli)),
@@ -279,11 +271,7 @@ def element_order(x: GroupElement) -> int:
     >>> element_order(make_group([2, 4]).element([1, 2]))
     2
     """
-    o = 1
-    for c, d in zip(x.coords, x.parent.moduli):
-        step = d // math.gcd(d, c)
-        o = o * step // math.gcd(o, step)
-    return o
+    return math.lcm(*[d // math.gcd(d, c) for c, d in zip(x.coords, x.parent.moduli)])
 
 
 def to_invariant_coordinates(G: AbelianGroup, x: GroupElement) -> tuple[int, ...]:

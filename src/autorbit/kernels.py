@@ -112,7 +112,6 @@ def snf_diagonal(rows: int, cols: int, entries: Sequence[int]) -> list[int]:
             if a != 0 and b % a == 0:
                 continue
             g = math.gcd(a, b)
-            lcm = 0 if g == 0 else a * b // g
-            diag[i], diag[i + 1] = g, lcm
+            diag[i], diag[i + 1] = g, a * b // g
             changed = True
     return diag

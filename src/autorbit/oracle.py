@@ -41,10 +41,7 @@ def aut_order_homocyclic(p: int, m: int, n: int) -> int:
 
 
 def _all_coords(moduli: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = [()]
-    for d in moduli:
-        out = [c + (r,) for c in out for r in range(d)]
-    return out
+    return list(itertools.product(*map(range, moduli)))
 
 
 def _add(a, b, moduli):
@@ -53,6 +50,17 @@ def _add(a, b, moduli):
 
 def _scale(k, a, moduli):
     return tuple((k * x) % d for x, d in zip(a, moduli))
+
+
+def _multiples(y, moduli) -> list[tuple[int, ...]]:
+    """The cyclic subgroup <y> as [0, y, 2y, ...], with k*y at index k."""
+    zero = (0,) * len(moduli)
+    out = [zero]
+    m = y
+    while m != zero:
+        out.append(m)
+        m = _add(m, y, moduli)
+    return out
 
 
 def _apply(coords, images, moduli) -> tuple[int, ...]:
@@ -104,19 +112,12 @@ def _raw_automorphisms(moduli: tuple[int, ...], cap: int) -> tuple[tuple[tuple[i
         )
     elements = _all_coords(moduli)
     zero = (0,) * len(moduli)
-    # generator i may map to any element whose order divides moduli[i]
-    pools = []
-    candidates = 1
-    for i, d in enumerate(moduli):
-        if d == 1:
-            pools.append([zero])
-        else:
-            pools.append([c for c in elements if _scale(d, c, moduli) == zero])
-        candidates *= len(pools[-1])
-    if candidates > cap:
-        raise CapacityExceeded(
-            f"{candidates} candidate image tuples exceed cap {cap}"
-        )
+    # Generator i may map to any element whose order divides d_i: there are
+    # prod_j gcd(d_i, d_j) of them, at most |G_p| per prime p dividing d_i.
+    # Each prime divides at most `rank` of the moduli, so the candidate tuples
+    # number at most prod_p |G_p|^rank = order**rank, which the cap check
+    # above already bounds.
+    pools = [[c for c in elements if _scale(d, c, moduli) == zero] for d in moduli]
     found = []
     for candidate in itertools.product(*pools):
         if _generates_group(candidate, moduli, order):
@@ -219,6 +220,27 @@ def _exponents_from_torsion(p: int, coset_counts: list[int]) -> list[int]:
     return exps
 
 
+def _power_layers(elements, moduli, n: int) -> dict[int, list[list[tuple[int, ...]]]]:
+    """{p: [pG, p^2 G, ..., p^a G]} for each p^a exactly dividing n, where
+    layer k lists p^k * g for every g in ``elements``, in the same order."""
+    return {
+        p: [[_scale(p**k, c, moduli) for c in elements] for k in range(1, a + 1)]
+        for p, a in factorize(n).items()
+    }
+
+
+def _torsion_key(q: int, H: set, layers) -> CanonicalGroupKey:
+    """Canonical key of G / H, of order q, from the number of cosets of H that
+    p^k annihilates, for each p^a exactly dividing q and each k <= a; the
+    layers are _power_layers of all of G for a multiple of q."""
+    h = len(H)
+    primary = {}
+    for p, a in factorize(q).items():
+        counts = [sum(1 for c in layer if c in H) // h for layer in layers[p][:a]]
+        primary[p] = _exponents_from_torsion(p, counts)
+    return CanonicalGroupKey.from_map(primary)
+
+
 def brute_quotient_key(G: AbelianGroup, x: GroupElement, cap: int = DEFAULT_CAP) -> CanonicalGroupKey:
     """Canonical key of G / <x> identified purely from coset torsion counts.
 
@@ -237,79 +259,28 @@ def brute_quotient_key(G: AbelianGroup, x: GroupElement, cap: int = DEFAULT_CAP)
     if N > cap:
         raise CapacityExceeded(f"group order {N} exceeds cap {cap}")
     moduli = G.moduli
-    zero = (0,) * len(moduli)
-    subgroup = {zero}
-    m = x.coords
-    while m != zero:
-        subgroup.add(m)
-        m = _add(m, x.coords, moduli)
-    q = N // len(subgroup)
-    if q == 1:
-        return CanonicalGroupKey(())
-    elements = _all_coords(moduli)
-    primary = {}
-    for p, a in factorize(q).items():
-        counts = []
-        current = elements
-        for _k in range(1, a + 1):
-            current = [_scale(p, c, moduli) for c in current]
-            annihilated = sum(1 for c in current if c in subgroup)
-            counts.append(annihilated // len(subgroup))
-            if counts[-1] == p**a:
-                break
-        exps = _exponents_from_torsion(p, counts)
-        if exps:
-            primary[p] = exps
-    return CanonicalGroupKey.from_map(primary)
+    H = set(_multiples(x.coords, moduli))
+    q = N // len(H)
+    return _torsion_key(q, H, _power_layers(_all_coords(moduli), moduli, q))
 
 
 def brute_quotient_keys(G: AbelianGroup, cap: int = DEFAULT_CAP) -> dict[tuple[int, ...], CanonicalGroupKey]:
     """Quotient key for every element of G, by the same torsion counting as
-    brute_quotient_key but with per-group tables shared across elements and
-    one computation per distinct cyclic subgroup."""
+    brute_quotient_key but with the power layers of G shared across elements
+    and one computation per distinct cyclic subgroup."""
     N = G.order
     if N > cap:
         raise CapacityExceeded(f"group order {N} exceeds cap {cap}")
     moduli = G.moduli
     elements = _all_coords(moduli)
-    index = {c: i for i, c in enumerate(elements)}
-    zero = (0,) * len(moduli)
-    # p -> list of index maps for multiplication by p^1, p^2, ...
-    step_tables: dict[int, list[list[int]]] = {}
-    for p, a in factorize(N).items():
-        mul_p = [index[_scale(p, c, moduli)] for c in elements]
-        chain = [mul_p]
-        for _ in range(a - 1):
-            prev = chain[-1]
-            chain.append([mul_p[i] for i in prev])
-        step_tables[p] = chain
+    layers = _power_layers(elements, moduli, N)
     out: dict[tuple[int, ...], CanonicalGroupKey] = {}
     for start in elements:
         if start in out:
             continue
-        walk = [zero]
-        m = start
-        while m != zero:
-            walk.append(m)
-            m = _add(m, start, moduli)
-        sub_idx = {index[c] for c in walk}
+        walk = _multiples(start, moduli)
         h = len(walk)
-        q = N // h
-        if q == 1:
-            key = CanonicalGroupKey(())
-        else:
-            primary = {}
-            for p, a in factorize(q).items():
-                counts = []
-                for chain_k in step_tables[p][: a]:
-                    annihilated = sum(1 for i in chain_k if i in sub_idx)
-                    counts.append(annihilated // h)
-                    if counts[-1] == p**a:
-                        break
-                exps = _exponents_from_torsion(p, counts)
-                if exps:
-                    primary[p] = exps
-            key = CanonicalGroupKey.from_map(primary)
+        key = _torsion_key(N // h, set(walk), layers)
         # every generator of <start> generates the same subgroup
         for k in range(h):
             if math.gcd(k, h) == 1:

@@ -166,8 +166,6 @@ def enumerate_orbits(
         if total_forms > cap:
             raise CapacityExceeded(f"{total_forms}+ reduced forms exceed cap {cap}")
     per_prime = [p_group_orbits(p, G.primary_exponents(p), cap) for p in G.primes()]
-    if not per_prime:
-        return [OrbitSummary(CanonicalGroupKey(()), (ReducedForm(()),), 1)]
     if len(per_prime) == 1:
         return per_prime[0]
     # Primes ascend and are disjoint, so concatenated parts are canonical.

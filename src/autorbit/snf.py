@@ -86,8 +86,6 @@ def quotient_by_snf(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
     ((2, (3, 3, 1)),)
     """
     A = quotient_matrix(G, x)
-    if G.rank == 0:
-        return CanonicalGroupKey(())
     primary: dict[int, list[int]] = {}
     for s in smith_normal_form(A):
         if s > 1:

@@ -47,6 +47,13 @@ def test_factorize_exhausted_budget_fails_loudly():
         factorize(p * q, max_rho_iterations=50, max_rho_restarts=1)
 
 
+@pytest.mark.parametrize("budget", [{"max_rho_iterations": 0}, {"max_rho_restarts": 0}])
+def test_factorize_rejects_zero_budget(budget):
+    # a zero budget used to run the default one
+    with pytest.raises(ValueError):
+        factorize(1_000_000_000_039 * 1_000_000_000_061, **budget)
+
+
 @given(
     st.lists(
         st.sampled_from(SMALL_PRIMES).flatmap(

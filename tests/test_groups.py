@@ -53,6 +53,25 @@ def test_make_group_rejects_nonpositive():
         make_group([4, -3])
 
 
+def test_non_integral_input_rejected():
+    # each of these used to truncate silently: C4 x C6, (1,), and (2.5,)
+    with pytest.raises(TypeError):
+        make_group([4.7, 6])
+    with pytest.raises(TypeError):
+        make_group([4]).element([1.9])
+    with pytest.raises(TypeError):
+        2.5 * make_group([4]).element([1])
+
+
+def test_elements_odometer_order():
+    # enumerate_automorphisms(G)[i] indexes depend on this order
+    assert [x.coords for x in make_group([2, 3]).elements()] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
+    ]
+    assert [x.coords for x in make_group([]).elements()] == [()]
+    assert [x.coords for x in make_group([1]).elements()] == [(0,)]
+
+
 def test_element_order_examples():
     G = make_group([2, 4])
     assert element_order(G.element([0, 0])) == 1

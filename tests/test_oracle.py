@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from _support import groups_up_to
+from autorbit import oracle
 from autorbit.errors import CapacityExceeded
 from autorbit.groups import make_group
 from autorbit.oracle import (
@@ -120,3 +124,14 @@ def test_capacity_cap():
         enumerate_automorphisms(make_group([2] * 8), cap=10**4)
     with pytest.raises(CapacityExceeded):
         brute_quotient_key(make_group([64, 64]), make_group([64, 64]).element([1, 1]), cap=100)
+
+
+def test_oracle_imports_no_production_path():
+    # the oracle checks fastquot, snf and orbits, so it must not use them
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # `from . import snf` names the module in the alias, not in `module`
+            relative |= {node.module} if node.module else {a.name for a in node.names}
+    assert relative <= {"arith", "errors", "groups"}, relative
