@@ -74,23 +74,20 @@ def _apply(coords, images, moduli) -> tuple[int, ...]:
     return tuple(a % d for a, d in zip(acc, moduli))
 
 
-def _generates_group(images, moduli, full_order) -> bool:
-    """Do the candidate generator images span the whole group?  (For an
-    endomorphism of a finite group, surjective == bijective.)"""
-    zero = (0,) * len(moduli)
-    span = {zero}
-    for y in images:
-        if y in span:
-            continue
-        multiples = []
-        m = y
-        while m != zero:
-            multiples.append(m)
-            m = _add(m, y, moduli)
-        span |= {_add(s, mm, moduli) for s in span for mm in multiples}
-        if len(span) == full_order:
-            return True
-    return len(span) == full_order
+def _invertible_mod(p: int, rows: list[list[int]]) -> bool:
+    """Is the square matrix with these rows invertible over F_p?  Gaussian
+    elimination, in place."""
+    n = len(rows)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c] % p), None)
+        if pivot is None:
+            return False
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        u = pow(rows[c][c], -1, p)
+        for r in range(c + 1, n):
+            if f := rows[r][c] * u % p:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[c])]
+    return True
 
 
 @lru_cache(maxsize=128)
@@ -98,29 +95,35 @@ def _raw_automorphisms(moduli: tuple[int, ...], cap: int) -> tuple[tuple[tuple[i
     """All automorphisms as tuples of generator images (raw coordinate tuples),
     in lexicographic image order."""
     order = math.prod(moduli)
-    # rank = minimal generator count = max over primes of the number of
-    # cyclic factors that prime divides
-    per_prime: dict[int, int] = {}
-    for d in moduli:
+    # positions[p]: the coordinates whose modulus p divides.  The rank, the
+    # minimal generator count, is the most moduli any one prime divides.
+    positions: dict[int, list[int]] = {}
+    for i, d in enumerate(moduli):
         for p in factorize(d):
-            per_prime[p] = per_prime.get(p, 0) + 1
-    rank = max(per_prime.values(), default=0)
-    space = order**rank
-    if space > cap:
+            positions.setdefault(p, []).append(i)
+    rank = max(map(len, positions.values()), default=0)
+    if order**rank > cap:
         raise CapacityExceeded(
             f"automorphism search space {order}^{rank} exceeds cap {cap}"
         )
-    elements = _all_coords(moduli)
-    zero = (0,) * len(moduli)
-    # Generator i may map to any element whose order divides d_i: there are
-    # prod_j gcd(d_i, d_j) of them, at most |G_p| per prime p dividing d_i.
-    # Each prime divides at most `rank` of the moduli, so the candidate tuples
-    # number at most prod_p |G_p|^rank = order**rank, which the cap check
-    # above already bounds.
-    pools = [[c for c in elements if _scale(d, c, moduli) == zero] for d in moduli]
+    # Generator i may map to any element whose order divides d_i, that is, whose
+    # coordinate j is a multiple of d_j / gcd(d_i, d_j): prod_j gcd(d_i, d_j)
+    # elements, at most |G_p| per prime p dividing d_i.  Each prime divides at
+    # most `rank` of the moduli, so the candidate tuples number at most
+    # prod_p |G_p|^rank = order**rank, which the cap check above already bounds.
+    pools = [
+        list(itertools.product(*(range(0, e, e // math.gcd(d, e)) for e in moduli)))
+        for d in moduli
+    ]
+    # By the Burnside basis theorem an endomorphism is bijective exactly when,
+    # for each prime p, the map it induces on G/pG = F_p^{r_p} is: the r_p x r_p
+    # matrix of image coordinates mod p over the positions p divides.
     found = []
     for candidate in itertools.product(*pools):
-        if _generates_group(candidate, moduli, order):
+        if all(
+            _invertible_mod(p, [[candidate[i][j] % p for j in pos] for i in pos])
+            for p, pos in positions.items()
+        ):
             found.append(candidate)
     return tuple(found)
 
@@ -145,8 +148,9 @@ def enumerate_automorphisms(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[End
     """Every automorphism of G as a generator-image table.
 
     Enumerates all image tuples that define endomorphisms (image order divides
-    generator order) and keeps the surjective ones.  Deterministic output
-    order.  Raises CapacityExceeded when |G|^rank exceeds the cap.
+    generator order) and keeps those invertible on G/pG for every prime p.
+    Deterministic output order.  Raises CapacityExceeded when |G|^rank
+    exceeds the cap.
 
     >>> from .groups import make_group
     >>> len(enumerate_automorphisms(make_group([4])))
@@ -231,8 +235,9 @@ def _power_layers(elements, moduli, n: int) -> dict[int, list[list[tuple[int, ..
 
 def _torsion_key(q: int, H: set, layers) -> CanonicalGroupKey:
     """Canonical key of G / H, of order q, from the number of cosets of H that
-    p^k annihilates, for each p^a exactly dividing q and each k <= a; the
-    layers are _power_layers of all of G for a multiple of q."""
+    p^k annihilates, for each p^a exactly dividing q and each k <= a that
+    the layers reach; the layers are _power_layers of all of G for a multiple
+    of gcd(q, exponent of G)."""
     h = len(H)
     primary = {}
     for p, a in factorize(q).items():
@@ -261,7 +266,9 @@ def brute_quotient_key(G: AbelianGroup, x: GroupElement, cap: int = DEFAULT_CAP)
     moduli = G.moduli
     H = set(_multiples(x.coords, moduli))
     q = N // len(H)
-    return _torsion_key(q, H, _power_layers(_all_coords(moduli), moduli, q))
+    # G / H has exponent dividing G's: layers past v_p(exp G) repeat counts
+    layers = _power_layers(_all_coords(moduli), moduli, math.gcd(q, G.exponent))
+    return _torsion_key(q, H, layers)
 
 
 def brute_quotient_keys(G: AbelianGroup, cap: int = DEFAULT_CAP) -> dict[tuple[int, ...], CanonicalGroupKey]:
@@ -273,7 +280,8 @@ def brute_quotient_keys(G: AbelianGroup, cap: int = DEFAULT_CAP) -> dict[tuple[i
         raise CapacityExceeded(f"group order {N} exceeds cap {cap}")
     moduli = G.moduli
     elements = _all_coords(moduli)
-    layers = _power_layers(elements, moduli, N)
+    # every quotient has exponent dividing G's: deeper layers repeat counts
+    layers = _power_layers(elements, moduli, G.exponent)
     out: dict[tuple[int, ...], CanonicalGroupKey] = {}
     for start in elements:
         if start in out:

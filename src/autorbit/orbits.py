@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from operator import getitem
 
@@ -40,20 +41,12 @@ class ReducedForm:
 
     parts: tuple[tuple[int, tuple[int, ...]], ...]
 
-    @classmethod
-    def from_map(cls, by_prime: dict[int, tuple[int, ...]]) -> "ReducedForm":
-        return cls(tuple((p, tuple(by_prime[p])) for p in sorted(by_prime)))
-
-    @property
-    def by_prime(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.parts)
-
     def realize(self, G: AbelianGroup) -> GroupElement:
         """The concrete element of G this reduced form names.
 
         Raises DimensionMismatch unless the form's primes, in order, are G's
-        primes and each per-prime arity is G's, and InvalidValuation for an
-        exponent b outside [0, e].
+        primes and each per-prime arity is G's, InvalidValuation for an
+        exponent b outside [0, e], and TypeError for a non-integral b.
         """
         primes = tuple(p for p, _ in self.parts)
         if primes != G.primes():
@@ -66,6 +59,7 @@ class ReducedForm:
                     f"expected {len(triples)} exponents for prime {p}, got {len(bs)}"
                 )
             for (pos, e, pe), b in zip(triples, bs):
+                b = operator.index(b)
                 if b < 0 or b > e:
                     raise InvalidValuation(f"valuation {b} outside [0, {e}]")
                 congruences[pos].append((pe, pow(p, b) % pe))
@@ -91,9 +85,8 @@ def reduced_form(G: AbelianGroup, x: GroupElement) -> ReducedForm:
     >>> reduced_form(G, G.element([3, 6])).parts
     ((2, (0, 1)),)
     """
-    return ReducedForm.from_map(
-        {p: fs for p, (fs, _es) in sylow_decompose(G, x).items()}
-    )
+    # sylow_decompose lists the primes in ascending order
+    return ReducedForm(tuple((p, tuple(fs)) for p, (fs, _es) in sylow_decompose(G, x).items()))
 
 
 def p_group_orbits(

@@ -10,71 +10,45 @@ benchmarking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import operator
+from typing import Sequence
 
 from . import kernels
 from .arith import factorize
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, to_invariant_coordinates
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major, unbounded entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Iterable[int]]) -> "IntMatrix":
-        data = [tuple(int(v) for v in row) for row in rows]
-        ncols = len(data[0]) if data else 0
-        if any(len(row) != ncols for row in data):
-            raise ValueError("ragged rows")
-        return cls(len(data), ncols, tuple(v for row in data for v in row))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-
-def smith_normal_form(A: IntMatrix) -> list[int]:
-    """Diagonal s_1, ..., s_min(rows,cols) of the Smith normal form of A.
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Diagonal s_1, ..., s_min(rows,cols) of the Smith normal form of the
+    integer matrix with the given rows.
 
     Entries are nonnegative and form a divisibility chain s_i | s_{i+1}
     (zeros last).  Uses smallest-magnitude pivoting with a gcd/lcm chain
-    repair; see ``kernels.snf_diagonal``.
+    repair; see ``kernels.snf_diagonal``.  Raises ValueError for ragged rows
+    and TypeError for a non-integral entry.
 
-    >>> smith_normal_form(IntMatrix.from_rows([[1, 2], [2, 0], [0, 4]]))
+    >>> smith_normal_form([[1, 2], [2, 0], [0, 4]])
     [1, 4]
     """
-    return kernels.snf_diagonal(A.rows, A.cols, list(A.entries))
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged rows")
+    return kernels.snf_diagonal(len(rows), cols, [operator.index(v) for row in rows for v in row])
 
 
-def quotient_matrix(G: AbelianGroup, x: GroupElement) -> IntMatrix:
+def quotient_matrix(G: AbelianGroup, x: GroupElement) -> list[list[int]]:
     """The (k+1) x k relation matrix for G / <x> in invariant-factor form.
 
     Raises DimensionMismatch when x's arity differs from G's, and
     ForeignElement when x belongs to another group (checked by
     to_invariant_coordinates).
     """
-    factors = G.invariant_factors
-    k = len(factors)
-    coords = to_invariant_coordinates(G, x)
-    rows = [list(coords)]
-    for i, m in enumerate(factors):
-        row = [0] * k
+    rows = [list(to_invariant_coordinates(G, x))]
+    for i, m in enumerate(G.invariant_factors):
+        row = [0] * G.rank
         row[i] = m
         rows.append(row)
-    return IntMatrix.from_rows(rows)
+    return rows
 
 
 def quotient_by_snf(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
@@ -85,9 +59,8 @@ def quotient_by_snf(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
     >>> quotient_by_snf(G, G.element([2, 1, 2, 4])).parts
     ((2, (3, 3, 1)),)
     """
-    A = quotient_matrix(G, x)
     primary: dict[int, list[int]] = {}
-    for s in smith_normal_form(A):
+    for s in smith_normal_form(quotient_matrix(G, x)):
         if s > 1:
             for p, e in factorize(s).items():
                 primary.setdefault(p, []).append(e)

@@ -53,6 +53,20 @@ def test_aut_lower_bound_exponential_in_rank():
         assert count >= (p / 2) ** G.rank, G
 
 
+@pytest.mark.parametrize(
+    "moduli", [(6, 4), (4, 6), (12, 2, 3), (1, 4, 2), (2, 6, 3), (10, 6), (2, 2, 6)]
+)
+def test_automorphisms_of_composite_presentations(moduli):
+    # a modulus with several primes (or none) spreads over several G/pG
+    G = make_group(moduli)
+    elements = set(G.elements())
+    tables = enumerate_automorphisms(G)
+    for t in tables:
+        assert {t.apply(x) for x in elements} == elements
+    elementary = make_group(G.canonical.elementary_divisors())
+    assert len(tables) == len(enumerate_automorphisms(elementary))
+
+
 def test_brute_orbits_cyclic_four():
     partition = {frozenset(e.coords for e in o) for o in brute_orbits(make_group([4]))}
     assert partition == {

@@ -24,13 +24,13 @@ def test_reduced_form_strips_units():
 def test_reduced_form_identity_clamps_to_exponents():
     G = make_group([4, 8, 9])
     rf = reduced_form(G, G.identity())
-    assert rf.by_prime == {2: (2, 3), 3: (2,)}
+    assert dict(rf.parts) == {2: (2, 3), 3: (2,)}
 
 
 def test_reduced_form_worked_example():
     G = make_group([2, 4, 8, 8])
     rf = reduced_form(G, G.element([2, 1, 2, 4]))
-    assert rf.by_prime == {2: (1, 0, 1, 2)}
+    assert dict(rf.parts) == {2: (1, 0, 1, 2)}
 
 
 def test_realize_round_trips():
@@ -49,6 +49,7 @@ BAD_FORMS = [
     ([6], ((2, (0,)),), DimensionMismatch),  # no 3-part: used to give 1
     ([12, 9], ((3, (1, 0)),), DimensionMismatch),  # no 2-part: used to give (0, 1)
     ([6], ((2, (0,)), (2, (0,))), DimensionMismatch),  # right length, wrong primes
+    ([4], ((2, (1.5,)),), TypeError),  # used to give the coordinate 2.828...
 ]
 
 
