@@ -24,7 +24,6 @@ from .errors import (
     InvalidValuation,
     NonPositiveModulus,
 )
-from .fastquot import quotient
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, element_order, make_group
 from .orbits import OrbitSummary, ReducedForm, enumerate_orbits, reduced_form
 
@@ -48,7 +47,6 @@ __all__ = [
     "enumerate_orbits",
     "factorize",
     "make_group",
-    "quotient",
     "quotient_key",
     "reduced_form",
 ]

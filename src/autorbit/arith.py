@@ -32,7 +32,7 @@ def is_prime(n: int) -> bool:
     """Primality test: deterministic below ~3.3e24, 40-round probabilistic above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _DETERMINISTIC_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -63,8 +63,6 @@ def _brent_rho(n: int, rng: random.Random, max_iterations: int) -> int | None:
     """One Pollard rho attempt (Brent cycle detection) with a randomized
     polynomial x^2 + c.  Returns a nontrivial factor or None on budget
     exhaustion / bad luck."""
-    if n % 2 == 0:
-        return 2
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128

@@ -46,16 +46,14 @@ def c4_instance(rank: int) -> tuple[AbelianGroup, GroupElement, GroupElement]:
     return G, G.element([1] * rank), G.element([3] * rank)
 
 
-def _time_callable(
-    fn: Callable[[], object], trials: int, target_batch_s: float = 0.02
-) -> list[float]:
+def _time_callable(fn: Callable[[], object], trials: int) -> list[float]:
     """Per-call seconds for each trial, batching calls so one trial takes
-    roughly target_batch_s."""
+    roughly 20 ms."""
     fn()  # warm-up
     t0 = time.perf_counter()
     fn()
     single = max(time.perf_counter() - t0, 1e-9)
-    batch = max(1, min(100_000, int(target_batch_s / single)))
+    batch = max(1, min(100_000, int(0.02 / single)))
     out = []
     for _ in range(trials):
         t0 = time.perf_counter()

@@ -42,6 +42,7 @@ class SpecError(Exception):
 # The errors a command may raise, each printed as "error: ..." with its code.
 ERROR_EXIT_CODES = {
     SpecError: EXIT_PARSE,
+    NonPositiveModulus: EXIT_PARSE,
     DimensionMismatch: EXIT_ARITY,
     FactorizationFailure: EXIT_FACTORIZATION,
     CapacityExceeded: EXIT_CAPACITY,
@@ -56,10 +57,7 @@ def parse_int_list(spec: str) -> list[int]:
 
 
 def parse_group(spec: str) -> AbelianGroup:
-    try:
-        return AbelianGroup(parse_int_list(spec))
-    except NonPositiveModulus as exc:
-        raise SpecError(str(exc)) from exc
+    return AbelianGroup(parse_int_list(spec))
 
 
 def parse_element(G: AbelianGroup, spec: str) -> GroupElement:
@@ -97,12 +95,12 @@ def cmd_autoeq(args: argparse.Namespace) -> int:
     G = parse_group(args.group)
     x = parse_element(G, args.x)
     y = parse_element(G, args.y)
-    kx = quotient_key(G, x, method=args.method)
-    ky = quotient_key(G, y, method=args.method)
     if args.oracle:
+        kx, ky = (oracle.brute_quotient_key(G, z, cap=args.cap) for z in (x, y))
         equivalent = oracle.is_automorphic_image_bruteforce(G, x, y, cap=args.cap)
     else:
-        equivalent = are_automorphic(G, x, y, method=args.method)
+        kx, ky = quotient_key(G, x), quotient_key(G, y)
+        equivalent = are_automorphic(G, x, y)
     if args.format == "json":
         payload = {
             "group": [str(d) for d in G.moduli],
@@ -124,6 +122,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     G = parse_group(args.group)
     if args.oracle:
         partition = oracle.brute_orbits(G, cap=args.cap)
+        keys = oracle.brute_quotient_keys(G, cap=args.cap)
         rows = []
         for orbit in partition:
             rep = min(e.coords for e in orbit)
@@ -131,7 +130,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
                 {
                     "size": len(orbit),
                     "representative": rep,
-                    "quotient": quotient_key(G, G.element(rep)),
+                    "quotient": keys[rep],
                 }
             )
     else:
@@ -215,13 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("-g", "--group", required=True)
     a.add_argument("-x", required=True, help="first element")
     a.add_argument("-y", required=True, help="second element")
-    a.add_argument("--method", choices=("fast", "snf"), default="fast")
     a.add_argument(
         "--oracle",
         action="store_true",
-        help="decide by exhaustive automorphism search instead (desk-scale)",
+        help="decide and identify both quotients by brute force instead (desk-scale)",
     )
-    a.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    a.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, help="bounds the --oracle search")
     a.add_argument("--format", choices=("text", "json"), default="text")
     a.set_defaults(func=cmd_autoeq)
 
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument(
         "--oracle",
         action="store_true",
-        help="partition by exhaustive automorphism action instead (desk-scale)",
+        help="partition and label orbits by brute force instead (desk-scale)",
     )
     o.set_defaults(func=cmd_orbits)
 

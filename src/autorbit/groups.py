@@ -228,9 +228,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return not any(self.coords)
 
-    def order(self) -> int:
-        return element_order(self)
-
     def __repr__(self) -> str:
         return f"GroupElement({list(self.coords)} in {self.parent!r})"
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 from autorbit.arith import factorize, phi_prime_power
 from autorbit.fastquot import p_group_quotient
-from autorbit.groups import AbelianGroup, CanonicalGroupKey, GroupElement
+from autorbit.groups import AbelianGroup, CanonicalGroupKey, GroupElement, element_order
 from autorbit.orbits import OrbitSummary, ReducedForm
 
 
@@ -84,7 +84,7 @@ def order_census(G: AbelianGroup) -> dict[int, int]:
     finite abelian groups, computed without canonical keys."""
     census: dict[int, int] = {}
     for x in G.elements():
-        o = x.order()
+        o = element_order(x)
         census[o] = census.get(o, 0) + 1
     return census
 

@@ -1,11 +1,9 @@
-import os
-
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
     "autorbit",
     deadline=None,
-    max_examples=int(os.environ.get("AUTORBIT_HYPOTHESIS_EXAMPLES", "75")),
+    max_examples=75,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("autorbit")

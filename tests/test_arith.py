@@ -74,6 +74,8 @@ def test_factorize_round_trip(prime_powers):
 def test_nu_examples():
     assert nu(2, 8) == 3
     assert nu(3, 8) == 0
+    with pytest.raises(ValueError):
+        nu(2, 0)
     # repeated-division check
     m, count = 12, 0
     while m % 2 == 0:

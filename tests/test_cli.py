@@ -71,6 +71,38 @@ def test_autoeq_oracle_flag(capsys):
     assert code == 1
 
 
+def test_autoeq_json_golden(capsys):
+    code, out, _ = run_cli(
+        capsys, "autoeq", "-g", "4,4", "-x", "1,0", "-y", "0,3", "--format", "json"
+    )
+    assert code == 0
+    assert out == read_golden("autoeq_4x4.json")
+    assert json.loads(out)["equivalent"] is True
+
+
+def test_oracle_route_never_calls_the_fast_path(monkeypatch, capsys):
+    autoeq = ("autoeq", "-g", "4,4", "-x", "1,0", "-y", "0,3", "--format", "json")
+    orbits = ("orbits", "-g", "2,4", "--format", "json")
+
+    def labels(out):
+        return sorted((json.dumps(o["quotient"]), o["size"]) for o in json.loads(out)["orbits"])
+
+    _, fast_autoeq, _ = run_cli(capsys, *autoeq)
+    _, fast_orbits, _ = run_cli(capsys, *orbits)
+
+    def fast_path(*args, **kwargs):
+        raise AssertionError("the --oracle route called the fast path")
+
+    monkeypatch.setattr(cli, "quotient_key", fast_path)
+    monkeypatch.setattr(cli, "are_automorphic", fast_path)
+    code, out, _ = run_cli(capsys, *autoeq, "--oracle")
+    assert code == 0
+    assert out == fast_autoeq
+    code, out, _ = run_cli(capsys, *orbits, "--oracle")
+    assert code == 0
+    assert labels(out) == labels(fast_orbits)
+
+
 def test_orbits_text_golden(capsys):
     code, out, _ = run_cli(capsys, "orbits", "-g", "2,4")
     assert code == 0
@@ -158,7 +190,13 @@ def test_factor_json(capsys):
 
 def test_exit_code_parse_error(capsys):
     assert run_cli(capsys, "quotient", "-g", "2,x", "-x", "1,1")[0] == 2
-    assert run_cli(capsys, "quotient", "-g", "0,4", "-x", "1,1")[0] == 2
+    assert run_cli(capsys, "quotient", "-g", "0,4", "-x", "1,1") == (
+        2,
+        "",
+        "error: cyclic order must be >= 1, got 0\n",
+    )
+    # autoeq takes no --method: --oracle is its only other route
+    assert run_cli(capsys, "autoeq", "-g", "4,4", "-x", "1,0", "-y", "0,3", "--method", "snf")[0] == 2
     assert run_cli(capsys, "factor", "banana")[0] == 2
     assert run_cli(capsys, "factor", "0")[0] == 2
     assert run_cli(capsys, "nonsense-command")[0] == 2

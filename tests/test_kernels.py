@@ -33,3 +33,5 @@ def test_pure_sweep_rejects_length_mismatch(fs, es):
 
 def test_snf_zero_matrix():
     assert kernels.snf_diagonal(2, 3, [0] * 6) == [0, 0]
+    with pytest.raises(ValueError):
+        kernels.snf_diagonal(2, 3, [0] * 5)

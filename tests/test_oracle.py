@@ -138,6 +138,8 @@ def test_capacity_cap():
         enumerate_automorphisms(make_group([2] * 8), cap=10**4)
     with pytest.raises(CapacityExceeded):
         brute_quotient_key(make_group([64, 64]), make_group([64, 64]).element([1, 1]), cap=100)
+    with pytest.raises(CapacityExceeded):
+        brute_quotient_keys(make_group([64, 64]), cap=100)
 
 
 def test_oracle_imports_no_production_path():
