@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .arith import crt, factorize
@@ -35,8 +34,37 @@ def format_cyclic(orders: Iterable[int]) -> str:
     return " x ".join(parts) if parts else "C1"
 
 
-@dataclass(frozen=True)
-class CanonicalGroupKey:
+class Record:
+    """Base of the immutable value records.
+
+    A subclass names its fields in ``__slots__``, sets them in its
+    ``__init__`` with ``object.__setattr__``, and defines ``__eq__`` (equal
+    fields, same class only) and ``__hash__`` (of the tuple of fields).
+    Assigning or deleting a field raises AttributeError.  The repr is
+    ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through __init__, since __setattr__ refuses
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class CanonicalGroupKey(Record):
     """Isomorphism-class fingerprint of a finite abelian group.
 
     ``parts`` maps each prime (ascending) to the descending list of its
@@ -45,7 +73,19 @@ class CanonicalGroupKey:
     are equal.
     """
 
+    __slots__ = ("parts",)
     parts: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __init__(self, parts: tuple[tuple[int, tuple[int, ...]], ...]):
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @classmethod
     def from_map(cls, primary: dict[int, Iterable[int]]) -> "CanonicalGroupKey":
@@ -192,12 +232,24 @@ class AbelianGroup:
         return format_cyclic(d for d in self.moduli if d > 1)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """A tuple of residues, one per cyclic factor of its parent group."""
 
+    __slots__ = ("parent", "coords")
     parent: AbelianGroup
     coords: tuple[int, ...]
+
+    def __init__(self, parent: AbelianGroup, coords: tuple[int, ...]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.coords) == (other.parent, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.coords))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         check_elements(self.parent, other)

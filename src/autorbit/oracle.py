@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorize
 from .errors import CapacityExceeded
-from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, check_elements
+from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, Record, check_elements
 
 DEFAULT_CAP = 10_000_000
 
@@ -128,13 +127,25 @@ def _raw_automorphisms(moduli: tuple[int, ...], cap: int) -> tuple[tuple[tuple[i
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class EndomorphismTable:
+class EndomorphismTable(Record):
     """An endomorphism of ``group`` given by the images of its presentation's
     generators."""
 
+    __slots__ = ("group", "images")
     group: AbelianGroup
     images: tuple[GroupElement, ...]
+
+    def __init__(self, group: AbelianGroup, images: tuple[GroupElement, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.images) == (other.group, other.images)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.images))
 
     def apply(self, x: GroupElement) -> GroupElement:
         """The image of x.  Raises DimensionMismatch or ForeignElement for an

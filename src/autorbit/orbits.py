@@ -23,23 +23,33 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from operator import getitem
 
 from .arith import crt, phi_prime_power
 from .errors import CapacityExceeded, DimensionMismatch, InvalidValuation
 from .fastquot import p_group_quotient, sylow_decompose
-from .groups import AbelianGroup, CanonicalGroupKey, GroupElement
+from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, Record
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class ReducedForm:
+class ReducedForm(Record):
     """Per-prime exponent tuples (b_1, ..., b_n) naming the element whose
     p-primary coordinates are (p^{b_1}, ..., p^{b_n}); sorted by prime."""
 
+    __slots__ = ("parts",)
     parts: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __init__(self, parts: tuple[tuple[int, tuple[int, ...]], ...]):
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def realize(self, G: AbelianGroup) -> GroupElement:
         """The concrete element of G this reduced form names.
@@ -66,14 +76,33 @@ class ReducedForm:
         return GroupElement(G, tuple(crt(c) for c in congruences))
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
+class OrbitSummary(Record):
     """One automorphic orbit: the canonical key of the quotient it corresponds
     to, every reduced form it contains, and its exact element count."""
 
+    __slots__ = ("quotient_key", "representatives", "size")
     quotient_key: CanonicalGroupKey
     representatives: tuple[ReducedForm, ...]
     size: int
+
+    def __init__(
+        self, quotient_key: CanonicalGroupKey, representatives: tuple[ReducedForm, ...], size: int
+    ):
+        object.__setattr__(self, "quotient_key", quotient_key)
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "size", size)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.quotient_key, self.representatives, self.size) == (
+            other.quotient_key,
+            other.representatives,
+            other.size,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.quotient_key, self.representatives, self.size))
 
 
 def reduced_form(G: AbelianGroup, x: GroupElement) -> ReducedForm:

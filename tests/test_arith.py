@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from autorbit.arith import (
+    TRIAL_DIVISION_BOUND,
+    _trial_divide,
     crt,
     factorize,
     is_prime,
@@ -14,6 +17,9 @@ from autorbit.arith import (
 from autorbit.errors import FactorizationFailure
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+# primes between the trial-division bound (2**10) and 10**6, which rho has
+# to find
+RHO_PRIMES = [1031, 7919, 65537, 104_729, 999_983]
 
 
 def test_factorize_examples():
@@ -45,6 +51,50 @@ def test_factorize_exhausted_budget_fails_loudly():
     assert is_prime(p) and is_prime(q)
     with pytest.raises(FactorizationFailure):
         factorize(p * q, max_rho_iterations=50, max_rho_restarts=1)
+
+
+def test_trial_division_leaves_factors_above_the_bound_to_rho():
+    p, q = 104_729, 999_983
+    out: dict[int, int] = {}
+    assert _trial_divide(p * q, out) == p * q
+    assert out == {}
+    assert _trial_divide(720 * p * q, out) == p * q
+    assert out == {2: 4, 3: 2, 5: 1}
+    assert TRIAL_DIVISION_BOUND < min(RHO_PRIMES)
+
+
+@pytest.mark.parametrize("p", RHO_PRIMES)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_factorize_prime_powers_above_trial_bound(p, k):
+    assert is_prime(p)
+    assert factorize(p**k) == {p: k}
+
+
+def test_factorize_mixed_products_above_trial_bound():
+    rng = random.Random(20)
+    primes = [n for n in range(1025, 10**6, 997) if is_prime(n)]
+    for _ in range(60):
+        p, q = rng.sample(primes, 2)
+        k = rng.randrange(2, 5)
+        small = rng.choices(SMALL_PRIMES, k=rng.randrange(4))
+        expected = {p: k, q: 1}
+        for r in small:
+            expected[r] = expected.get(r, 0) + 1
+        n = p**k * q * math.prod(small)
+        assert factorize(n) == dict(sorted(expected.items())), n
+
+
+@pytest.mark.parametrize("n", [2**64 - 59, 10**20 - 11])
+def test_factorize_20_digit_prime(n):
+    assert len(str(n)) == 20 and is_prime(n)
+    assert factorize(n) == {n: 1}
+
+
+def test_factorize_two_primes_near_ten_to_the_ten():
+    p, q = 10**10 + 19, 10**10 + 33
+    assert is_prime(p) and is_prime(q)
+    assert factorize(p * q) == {p: 1, q: 1}
+    assert factorize(6 * p * q**2) == {2: 1, 3: 1, p: 1, q: 2}
 
 
 @pytest.mark.parametrize("budget", [{"max_rho_iterations": 0}, {"max_rho_restarts": 0}])

@@ -222,14 +222,16 @@ def test_exit_code_factorization_failure(monkeypatch, capsys):
 
 
 def test_bench_subcommand_is_gone(capsys):
-    # timing lives in perfbench/, so the CLI neither offers nor imports a harness
+    # timing lives in perfbench/, so the CLI neither offers nor imports a
+    # harness; nor does its import load dataclasses and the introspection
+    # modules that come with it, which every CLI process would pay for
     assert run_cli(capsys, "bench")[0] == 2
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, autorbit.cli; "
-            "print(sorted({'autorbit.bench', 'statistics'} & set(sys.modules)))",
+            "print(sorted({'autorbit.bench', 'statistics', 'dataclasses', 'inspect'} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -14,10 +16,13 @@ from autorbit.errors import DimensionMismatch, ForeignElement, NonPositiveModulu
 from autorbit.fastquot import sylow_decompose
 from autorbit.groups import (
     CanonicalGroupKey,
+    GroupElement,
     element_order,
     make_group,
     to_invariant_coordinates,
 )
+from autorbit.oracle import EndomorphismTable
+from autorbit.orbits import OrbitSummary, ReducedForm
 
 moduli_lists = st.lists(st.integers(1, 64), min_size=0, max_size=5)
 
@@ -224,3 +229,75 @@ def test_canonical_key_renderings():
     assert key.describe_elementary() == "C2 x C3 x C4"
     assert key.describe_invariant() == "C2 x C12"
     assert CanonicalGroupKey(()).describe_invariant() == "C1"
+
+
+
+class _OtherSummary(OrbitSummary):
+    __slots__ = ()
+
+
+def _record_cases():
+    """name -> (record, an equal record built separately, a record of another
+    class with the same field values, the field names, the record's repr)."""
+    G = make_group([2, 4])
+    parts = ((2, (2, 1)),)
+    images = (G.element([1, 0]), G.element([0, 1]))
+    summary = (CanonicalGroupKey(((2, (1,)),)), (ReducedForm(((2, (0, 1)),)),), 2)
+    return {
+        "CanonicalGroupKey": (
+            CanonicalGroupKey(parts),
+            CanonicalGroupKey.from_map({2: [1, 2]}),
+            ReducedForm(parts),
+            ("parts",),
+            "CanonicalGroupKey(parts=((2, (2, 1)),))",
+        ),
+        "ReducedForm": (
+            ReducedForm(parts),
+            ReducedForm(((2, (2, 1)),)),
+            CanonicalGroupKey(parts),
+            ("parts",),
+            "ReducedForm(parts=((2, (2, 1)),))",
+        ),
+        "GroupElement": (
+            G.element([1, 2]),
+            make_group([2, 4]).element([3, 6]),
+            EndomorphismTable(G, (1, 2)),
+            ("parent", "coords"),
+            "GroupElement([1, 2] in AbelianGroup([2, 4]))",
+        ),
+        "EndomorphismTable": (
+            EndomorphismTable(G, images),
+            EndomorphismTable(make_group([2, 4]), (G.element([1, 0]), G.element([0, 1]))),
+            GroupElement(G, images),
+            ("group", "images"),
+            "EndomorphismTable(group=AbelianGroup([2, 4]), images=(GroupElement([1, 0] in "
+            "AbelianGroup([2, 4])), GroupElement([0, 1] in AbelianGroup([2, 4]))))",
+        ),
+        "OrbitSummary": (
+            OrbitSummary(*summary),
+            OrbitSummary(CanonicalGroupKey.from_map({2: [1]}), (ReducedForm(((2, (0, 1)),)),), 2),
+            _OtherSummary(*summary),
+            ("quotient_key", "representatives", "size"),
+            "OrbitSummary(quotient_key=CanonicalGroupKey(parts=((2, (1,)),)), "
+            "representatives=(ReducedForm(parts=((2, (0, 1)),)),), size=2)",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_record_cases()))
+def test_record_semantics(name):
+    record, twin, other, fields, text = _record_cases()[name]
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin)
+    # the same field values in another class, or in a plain tuple, differ
+    assert record != other and not record == other
+    assert record != tuple(getattr(record, f) for f in fields)
+    assert len({record, twin, other}) == 2
+    assert repr(record) == text
+    for field in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
