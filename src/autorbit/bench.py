@@ -19,22 +19,25 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .equivalence import are_automorphic
-from .groups import AbelianGroup, GroupElement
+from .groups import AbelianGroup, GroupElement, Record
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(Record):
+    """Mean milliseconds of one decision at one rank by one method."""
+
+    __slots__ = ("rank", "method", "mean_ms")
     rank: int
     method: str
     mean_ms: float
 
 
-@dataclass(frozen=True)
-class PowerFit:
+class PowerFit(Record):
+    """A least-squares fit of t = coefficient * n^exponent."""
+
+    __slots__ = ("coefficient", "exponent", "r_squared")
     coefficient: float
     exponent: float
     r_squared: float
@@ -117,9 +120,12 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerFit:
 
 def model_operation_counts(rank: int) -> tuple[float, float]:
     """Model operation counts at exponent 10**20 for one decision:
-    sweep path 2e7 + 4n*67 + 67n*log2(n), matrix path n^2.8074."""
+    sweep path 2e7 + 4n*67 + 67n*log2(n), matrix path n^2.8074.  Raises
+    ValueError for a rank below 1."""
     n = rank
-    fast_ops = 2e7 + 4 * n * 67 + 67 * n * math.log2(n) if n > 1 else 2e7 + 4 * 67
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    fast_ops = 2e7 + 4 * n * 67 + 67 * n * math.log2(n)
     snf_ops = float(n) ** 2.8074
     return fast_ops, snf_ops
 

@@ -64,6 +64,14 @@ def parse_element(G: AbelianGroup, spec: str) -> GroupElement:
     return G.element(parse_int_list(spec))
 
 
+def positive_int(spec: str) -> int:
+    """argparse type for a cap: a positive integer, else a usage error (exit 2)."""
+    value = int(spec)  # argparse reports a ValueError as a usage error too
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _key_json(key: CanonicalGroupKey) -> dict:
     return {
         "primary": {str(p): list(exps) for p, exps in key.parts},
@@ -219,14 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="decide and identify both quotients by brute force instead (desk-scale)",
     )
-    a.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, help="bounds the --oracle search")
+    a.add_argument(
+        "--cap", type=positive_int, default=oracle.DEFAULT_CAP, help="bounds the --oracle search"
+    )
     a.add_argument("--format", choices=("text", "json"), default="text")
     a.set_defaults(func=cmd_autoeq)
 
     o = sub.add_parser("orbits", help="list all automorphic orbits")
     o.add_argument("-g", "--group", required=True)
     o.add_argument("--format", choices=("text", "json"), default="text")
-    o.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    o.add_argument("--cap", type=positive_int, default=DEFAULT_ENUMERATION_CAP)
     o.add_argument(
         "--oracle",
         action="store_true",

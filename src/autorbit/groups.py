@@ -37,17 +37,35 @@ def format_cyclic(orders: Iterable[int]) -> str:
 class Record:
     """Base of the immutable value records.
 
-    A subclass names its fields in ``__slots__``, sets them in its
-    ``__init__`` with ``object.__setattr__``, and defines ``__eq__`` (equal
-    fields, same class only) and ``__hash__`` (of the tuple of fields).
-    Assigning or deleting a field raises AttributeError.  The repr is
-    ``Name(field=value, ...)``.
+    A subclass names its fields once, in ``__slots__``; a subclass that adds
+    no field declares ``__slots__ = ()`` and keeps its parent's fields.  From
+    that list Record supplies a positional ``__init__`` (TypeError on wrong
+    arity), ``__eq__`` (equal fields, same class only), ``__hash__`` (of the
+    tuple of fields), pickling and copying through ``__init__``, and the repr
+    ``Name(field=value, ...)``.  Assigning or deleting a field raises
+    AttributeError.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        # the slots' own setters, which bypass the refusing __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+        # _key(record): one C-level call giving the field's value, or the
+        # tuple of values when there are several fields
+        cls._key = staticmethod(operator.attrgetter(*fields))
+
+    def __init__(self, *values: object) -> None:
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes {len(setters)} fields, got {len(values)}"
+            )
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -55,12 +73,25 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _values(self) -> tuple:
+        key = self._key(self)
+        return key if len(self._fields) > 1 else (key,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __reduce__(self) -> tuple:
         # pickle and copy rebuild through __init__, since __setattr__ refuses
-        return self.__class__, self._fields()
+        return self.__class__, self._values()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{self.__class__.__qualname__}({fields})"
 
 
@@ -75,17 +106,6 @@ class CanonicalGroupKey(Record):
 
     __slots__ = ("parts",)
     parts: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def __init__(self, parts: tuple[tuple[int, tuple[int, ...]], ...]):
-        object.__setattr__(self, "parts", parts)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     @classmethod
     def from_map(cls, primary: dict[int, Iterable[int]]) -> "CanonicalGroupKey":
@@ -238,18 +258,6 @@ class GroupElement(Record):
     __slots__ = ("parent", "coords")
     parent: AbelianGroup
     coords: tuple[int, ...]
-
-    def __init__(self, parent: AbelianGroup, coords: tuple[int, ...]):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "coords", coords)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parent, self.coords) == (other.parent, other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.parent, self.coords))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         check_elements(self.parent, other)

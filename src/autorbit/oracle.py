@@ -135,18 +135,6 @@ class EndomorphismTable(Record):
     group: AbelianGroup
     images: tuple[GroupElement, ...]
 
-    def __init__(self, group: AbelianGroup, images: tuple[GroupElement, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "images", images)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.images) == (other.group, other.images)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.images))
-
     def apply(self, x: GroupElement) -> GroupElement:
         """The image of x.  Raises DimensionMismatch or ForeignElement for an
         element not of the table's group."""
@@ -217,13 +205,15 @@ def brute_orbits(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[frozenset[Grou
 def _exponents_from_torsion(p: int, coset_counts: list[int]) -> list[int]:
     """Recover the exponent multiset of the p-part from the cumulative counts
     N_k = #cosets annihilated by p^k.  With t_k = log_p(N_k), the difference
-    t_k - t_{k-1} counts exponents >= k."""
+    t_k - t_{k-1} counts exponents >= k.  Raises ValueError for a count that
+    is not a power of p."""
     tails = []
     prev = 0
     for count in coset_counts:
         t = 0
         while count > 1:
-            assert count % p == 0, "torsion count is not a p-power"
+            if count % p:
+                raise ValueError(f"torsion count {count} is not a power of {p}")
             count //= p
             t += 1
         tails.append(t - prev)

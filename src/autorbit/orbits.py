@@ -40,16 +40,9 @@ class ReducedForm(Record):
     __slots__ = ("parts",)
     parts: tuple[tuple[int, tuple[int, ...]], ...]
 
+    # Hand-written for speed: orbit enumeration builds one per reduced form.
     def __init__(self, parts: tuple[tuple[int, tuple[int, ...]], ...]):
         object.__setattr__(self, "parts", parts)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     def realize(self, G: AbelianGroup) -> GroupElement:
         """The concrete element of G this reduced form names.
@@ -84,25 +77,6 @@ class OrbitSummary(Record):
     quotient_key: CanonicalGroupKey
     representatives: tuple[ReducedForm, ...]
     size: int
-
-    def __init__(
-        self, quotient_key: CanonicalGroupKey, representatives: tuple[ReducedForm, ...], size: int
-    ):
-        object.__setattr__(self, "quotient_key", quotient_key)
-        object.__setattr__(self, "representatives", representatives)
-        object.__setattr__(self, "size", size)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.quotient_key, self.representatives, self.size) == (
-            other.quotient_key,
-            other.representatives,
-            other.size,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.quotient_key, self.representatives, self.size))
 
 
 def reduced_form(G: AbelianGroup, x: GroupElement) -> ReducedForm:

@@ -33,6 +33,14 @@ def test_model_operation_counts_formula():
     assert snf_ops == pytest.approx(n**2.8074)
 
 
+def test_model_operation_counts_rank_one_and_below():
+    # rank 1 follows the formula (log2(1) = 0); there is no rank below 1
+    assert bench.model_operation_counts(1) == (2e7 + 4 * 67, 1.0)
+    for rank in (0, -3):
+        with pytest.raises(ValueError):
+            bench.model_operation_counts(rank)
+
+
 def test_model_crossover_near_four_hundred():
     crossover = bench.model_crossover()
     assert 300 <= crossover <= 500

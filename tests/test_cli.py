@@ -213,6 +213,18 @@ def test_exit_code_capacity(capsys):
                    "-y", "1,1,1,1,1,1,1,0", "--oracle", "--cap", "1000")[0] == 5
 
 
+def test_cap_must_be_positive(capsys):
+    # `orbits --cap -1` used to report "9+ reduced forms exceed cap -1", exit 5
+    for cap in ("0", "-1"):
+        code, out, err = run_cli(capsys, "orbits", "-g", "4,4", "--cap", cap)
+        assert (code, out) == (2, "") and "--cap" in err
+        code, out, err = run_cli(
+            capsys, "autoeq", "-g", "4,4", "-x", "1,0", "-y", "0,1", "--oracle", "--cap", cap
+        )
+        assert (code, out) == (2, "") and "--cap" in err
+    assert run_cli(capsys, "orbits", "-g", "4,4", "--cap", "9")[0] == 0
+
+
 def test_exit_code_factorization_failure(monkeypatch, capsys):
     def explode(n):
         raise FactorizationFailure("budget exhausted")
@@ -224,21 +236,24 @@ def test_exit_code_factorization_failure(monkeypatch, capsys):
 def test_bench_subcommand_is_gone(capsys):
     # timing lives in perfbench/, so the CLI neither offers nor imports a
     # harness; nor does its import load dataclasses and the introspection
-    # modules that come with it, which every CLI process would pay for
+    # modules that come with it, which every CLI process would pay for;
+    # importing autorbit.bench loads neither dataclasses nor inspect either
     assert run_cli(capsys, "bench")[0] == 2
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, autorbit.cli; "
-            "print(sorted({'autorbit.bench', 'statistics', 'dataclasses', 'inspect'} & set(sys.modules)))",
+            "print(sorted({'autorbit.bench', 'statistics', 'dataclasses', 'inspect'} & set(sys.modules))); "
+            "import autorbit.bench; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
 
 
 def test_module_entry_point():

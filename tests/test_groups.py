@@ -12,6 +12,7 @@ from _support import (
     groups_up_to,
     order_census,
 )
+from autorbit.bench import BenchRow, PowerFit
 from autorbit.errors import DimensionMismatch, ForeignElement, NonPositiveModulus
 from autorbit.fastquot import sylow_decompose
 from autorbit.groups import (
@@ -238,7 +239,10 @@ class _OtherSummary(OrbitSummary):
 
 def _record_cases():
     """name -> (record, an equal record built separately, a record of another
-    class with the same field values, the field names, the record's repr)."""
+    class with the same field values, the field names, the record's repr).
+
+    _OtherSummary adds no field and keeps OrbitSummary's; its repr, copies and
+    pickles used to lose the fields."""
     G = make_group([2, 4])
     parts = ((2, (2, 1)),)
     images = (G.element([1, 0]), G.element([0, 1]))
@@ -281,17 +285,40 @@ def _record_cases():
             "OrbitSummary(quotient_key=CanonicalGroupKey(parts=((2, (1,)),)), "
             "representatives=(ReducedForm(parts=((2, (0, 1)),)),), size=2)",
         ),
+        "_OtherSummary": (
+            _OtherSummary(*summary),
+            _OtherSummary(CanonicalGroupKey.from_map({2: [1]}), (ReducedForm(((2, (0, 1)),)),), 2),
+            OrbitSummary(*summary),
+            ("quotient_key", "representatives", "size"),
+            "_OtherSummary(quotient_key=CanonicalGroupKey(parts=((2, (1,)),)), "
+            "representatives=(ReducedForm(parts=((2, (0, 1)),)),), size=2)",
+        ),
+        "BenchRow": (
+            BenchRow(4, "fast", 0.5),
+            BenchRow(2 * 2, "".join(["fa", "st"]), 0.25 * 2),
+            PowerFit(4, "fast", 0.5),
+            ("rank", "method", "mean_ms"),
+            "BenchRow(rank=4, method='fast', mean_ms=0.5)",
+        ),
+        "PowerFit": (
+            PowerFit(0.5, 1.25, 1.0),
+            PowerFit(1 / 2, 5 / 4, 1),
+            BenchRow(0.5, 1.25, 1.0),
+            ("coefficient", "exponent", "r_squared"),
+            "PowerFit(coefficient=0.5, exponent=1.25, r_squared=1.0)",
+        ),
     }
 
 
 @pytest.mark.parametrize("name", list(_record_cases()))
 def test_record_semantics(name):
     record, twin, other, fields, text = _record_cases()[name]
+    values = tuple(getattr(record, f) for f in fields)
     assert record == twin and not record != twin
-    assert hash(record) == hash(twin)
+    assert hash(record) == hash(twin) == hash(values)
     # the same field values in another class, or in a plain tuple, differ
     assert record != other and not record == other
-    assert record != tuple(getattr(record, f) for f in fields)
+    assert record != values
     assert len({record, twin, other}) == 2
     assert repr(record) == text
     for field in (*fields, "extra"):
@@ -299,5 +326,11 @@ def test_record_semantics(name):
             setattr(record, field, None)
     with pytest.raises(AttributeError):
         delattr(record, fields[0])
-    assert copy.deepcopy(record) == record
-    assert pickle.loads(pickle.dumps(record)) == record
+    for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert clone == record and repr(clone) == text
+    # construction is positional and takes exactly the fields
+    assert type(record)(*values) == record
+    with pytest.raises(TypeError):
+        type(record)(*values[:-1])
+    with pytest.raises(TypeError):
+        type(record)(*values, None)

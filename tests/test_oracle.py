@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,6 +143,34 @@ def test_capacity_cap():
         brute_quotient_key(make_group([64, 64]), make_group([64, 64]).element([1, 1]), cap=100)
     with pytest.raises(CapacityExceeded):
         brute_quotient_keys(make_group([64, 64]), cap=100)
+
+
+def test_torsion_count_not_a_prime_power_raises():
+    # 3 cosets cannot be annihilated by a power of 2; the check was an assert,
+    # so under `python -O` this returned [2, 2]
+    with pytest.raises(ValueError, match="not a power of 2"):
+        oracle._exponents_from_torsion(2, [3, 12])
+    assert oracle._exponents_from_torsion(2, [4, 8]) == [1, 2]  # C2 x C4
+
+
+def test_torsion_count_check_survives_optimize_flag():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            "-c",
+            "from autorbit.oracle import _exponents_from_torsion\n"
+            "try:\n"
+            "    print(_exponents_from_torsion(2, [3, 12]))\n"
+            "except ValueError:\n"
+            "    print('ValueError')",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ValueError"
 
 
 def test_oracle_imports_no_production_path():
