@@ -14,6 +14,7 @@ the quotient (the carry term max(0, e - f) vanishes and min(f, e) = e).
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Sequence
 
 from . import kernels
@@ -68,6 +69,24 @@ def p_group_quotient(fs: Sequence[int], es: Sequence[int]) -> list[int]:
         if f < 0 or f > e:
             raise InvalidValuation(f"valuation {f} outside [0, {e}]")
     return sorted(filter(None, kernels.pgroup_sweep(fs, es)), reverse=True)
+
+
+def canonical_points(fs: Sequence[int], es: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The non-dominated (valuation, exponent) points of a p-group element,
+    which name its automorphic orbit.  Sorted by (f, f - e), a point is kept
+    when its gap e - f exceeds every earlier gap, so zero coordinates and
+    dominated or repeated points drop out.  Raises ValueError for unequal lengths.
+
+    >>> canonical_points([0, 1, 1, 2, 3], [1, 3, 3, 3, 3])
+    ((0, 1), (1, 3))
+    """
+    points = []
+    low = 0  # the least f - e so far; a point is kept when its f - e is lower
+    for f, d, e in sorted(zip(fs, map(sub, fs, es), es, strict=True)):
+        if d < low:
+            low = d
+            points.append((f, e))
+    return tuple(points)
 
 
 def quotient(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:

@@ -260,6 +260,8 @@ class GroupElement(Record):
     coords: tuple[int, ...]
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
+        if not isinstance(other, GroupElement):
+            return NotImplemented
         check_elements(self.parent, other)
         return GroupElement(
             self.parent,

@@ -2,17 +2,15 @@
 
 Within one p-primary part, every element is automorphic to its reduced form
 (p^{b_1}, ..., p^{b_n}) with 0 <= b_i <= e_i (b_i = e_i standing for the zero
-coordinate), so iterating the prod(e_i + 1) reduced forms and grouping them by
-the quotient they generate yields the per-prime orbits; the number of
+coordinate), and two reduced forms share an orbit exactly when they have the
+same non-dominated (b_i, e_i) points (fastquot.canonical_points), which name
+the orbit.  Iterating the prod(e_i + 1) reduced forms in odometer order and
+bucketing them by that name yields the per-prime orbits; the number of
 ordinary elements sharing a reduced form is the product over coordinates of
 phi(p^{e_i - b_i}) (one, for a zero coordinate), read from a per-exponent
-table.  The quotient depends only on the multiset of (b_i, e_i) pairs (the
-form's height data), so the valuation sweep runs once per distinct multiset,
-memoized by the sorted pairs (by the form itself when the exponents are
-distinct).  Forms are bucketed by the quotient's exponent tuple, and each
-orbit's canonical key is built once.  Orbits of the whole group are Cartesian
-products of per-prime orbits, with multiplying sizes and concatenated quotient
-keys.
+table.  Each orbit's quotient key comes from one valuation sweep of its first
+form.  Orbits of the whole group are Cartesian products of per-prime orbits,
+with multiplying sizes and concatenated quotient keys.
 
 Enumeration is capped (default 10**7 combined reduced forms) and fails loudly
 with CapacityExceeded rather than hang.
@@ -23,11 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import defaultdict
 from operator import getitem
 
-from .arith import crt, phi_prime_power
+from .arith import crt, is_prime, phi_prime_power
 from .errors import CapacityExceeded, DimensionMismatch, InvalidValuation
-from .fastquot import p_group_quotient, sylow_decompose
+from .fastquot import canonical_points, p_group_quotient, sylow_decompose
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, Record
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -39,10 +38,6 @@ class ReducedForm(Record):
 
     __slots__ = ("parts",)
     parts: tuple[tuple[int, tuple[int, ...]], ...]
-
-    # Hand-written for speed: orbit enumeration builds one per reduced form.
-    def __init__(self, parts: tuple[tuple[int, tuple[int, ...]], ...]):
-        object.__setattr__(self, "parts", parts)
 
     def realize(self, G: AbelianGroup) -> GroupElement:
         """The concrete element of G this reduced form names.
@@ -97,14 +92,16 @@ def p_group_orbits(
 ) -> list[OrbitSummary]:
     """Orbits of the p-group with the given component exponents.
 
-    Iterates reduced forms in mixed-radix (odometer) order, groups them by the
-    quotient's exponents, and sums exact element counts.  The sweep runs once
-    per distinct multiset of (b_i, e_i) pairs.  Output order is first
-    occurrence.
+    Iterates reduced forms in mixed-radix (odometer) order, buckets them by
+    their canonical points, and sums exact element counts; each orbit's key
+    is the quotient by its first form.  Output order is first occurrence.
+    Raises ValueError when p is not prime or an exponent is below 1.
 
     >>> [(o.quotient_key.describe_invariant(), o.size) for o in p_group_orbits(2, (2,))]
     [('C1', 2), ('C2', 1), ('C4', 1)]
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if any(e < 1 for e in exponents):
         raise ValueError("component exponents must be >= 1")
     total = math.prod(e + 1 for e in exponents)
@@ -113,32 +110,17 @@ def p_group_orbits(
     # phi[e][b]: elements of C_{p^e} whose reduced coordinate is p^b.
     phi = {e: [phi_prime_power(p, e - b) for b in range(e)] + [1] for e in set(exponents)}
     tables = [phi[e] for e in exponents]
-    # The memo is keyed by one canonical name per multiset of (b_i, e_i)
-    # pairs.  When the exponents are distinct, the form itself is that name;
-    # sorted pairs there would hold a new tuple of pairs per form, never hit.
-    repeats = len(phi) < len(exponents)
-    memo: dict[tuple, tuple[int, ...]] = {}
-    # quotient exponents -> [forms, summed element count]
-    buckets: dict[tuple[int, ...], list] = {}
+    # canonical points -> reduced forms, in odometer order
+    orbits: defaultdict[tuple[tuple[int, int], ...], list] = defaultdict(list)
     for b in itertools.product(*(range(e + 1) for e in exponents)):
-        key = tuple(sorted(zip(b, exponents))) if repeats else b
-        exps = memo.get(key)
-        if exps is None:
-            exps = memo[key] = tuple(p_group_quotient(b, exponents))
-        count = math.prod(map(getitem, tables, b))
-        bucket = buckets.get(exps)
-        if bucket is None:
-            buckets[exps] = [[b], count]
-        else:
-            bucket[0].append(b)
-            bucket[1] += count
+        orbits[canonical_points(b, exponents)].append(b)
     return [
         OrbitSummary(
-            CanonicalGroupKey.from_map({p: exps}),
+            CanonicalGroupKey.from_map({p: p_group_quotient(forms[0], exponents)}),
             tuple(ReducedForm(((p, b),)) for b in forms),
-            size,
+            sum(math.prod(map(getitem, tables, b)) for b in forms),
         )
-        for exps, (forms, size) in buckets.items()
+        for forms in orbits.values()
     ]
 
 

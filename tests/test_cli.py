@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -250,7 +251,7 @@ def test_bench_subcommand_is_gone(capsys):
         ],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
@@ -261,7 +262,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "autorbit", "quotient", "-g", "2,4,8,8", "-x", "2,1,2,4"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
     assert proc.returncode == 0
     assert "C2 x C8 x C8" in proc.stdout

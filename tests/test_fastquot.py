@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from _support import groups_up_to
 from autorbit.arith import nu
 from autorbit.errors import InvalidValuation
-from autorbit.fastquot import p_group_quotient, quotient, sylow_decompose
+from autorbit.equivalence import quotient_key
+from autorbit.fastquot import canonical_points, p_group_quotient, quotient, sylow_decompose
 from autorbit.groups import CanonicalGroupKey, element_order, make_group
 from autorbit.oracle import brute_quotient_key
 from autorbit.snf import quotient_by_snf
@@ -143,3 +144,31 @@ def test_quotient_invariant_under_subgroup_generators():
 def test_sylow_decompose_empty_for_trivial():
     G = make_group([1, 1])
     assert sylow_decompose(G, G.identity()) == {}
+
+
+def test_canonical_points_partition_like_quotient_key():
+    # within each p-group, equal points <=> equal quotient keys
+    for G in groups_up_to(256):
+        if len(G.primes()) != 1:
+            continue
+        (p,) = G.primes()
+        key_of_points = {}
+        for x in G.elements():
+            key = quotient_key(G, x)
+            points = canonical_points(*sylow_decompose(G, x)[p])
+            assert key_of_points.setdefault(points, key) == key, (G, x)
+        keys = list(key_of_points.values())
+        assert len(set(keys)) == len(keys), G
+
+
+def test_canonical_points_drop_zero_dominated_and_repeated_points():
+    assert canonical_points([2, 3], [2, 3]) == ()
+    assert canonical_points([1, 0, 1, 0], [3, 1, 3, 1]) == ((0, 1), (1, 3))
+    assert canonical_points([0, 1], [3, 3]) == ((0, 3),)
+
+
+def test_canonical_points_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        canonical_points([0, 1], [2])
+    with pytest.raises(ValueError):
+        canonical_points([0], [2, 2])

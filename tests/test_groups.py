@@ -216,6 +216,12 @@ def test_element_arithmetic_rejects_other_groups():
     with pytest.raises(DimensionMismatch):
         x + make_group([4, 4, 4]).element([1, 1, 1])
     assert (x + make_group([4, 4]).element([1, 3])).coords == (2, 0)
+    # a non-element used to raise AttributeError from check_elements
+    for other in (1, (1, 2)):
+        with pytest.raises(TypeError):
+            x + other
+    with pytest.raises(TypeError):
+        x - 1
 
 
 def test_coordinates_reduced():

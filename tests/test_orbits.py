@@ -5,6 +5,7 @@ import pytest
 from _support import divisor_count, groups_up_to, reference_orbits
 from autorbit.equivalence import are_automorphic, quotient_key
 from autorbit.errors import CapacityExceeded, DimensionMismatch, InvalidValuation
+from autorbit.fastquot import p_group_quotient
 from autorbit.groups import make_group
 from autorbit.oracle import brute_orbits
 from autorbit.orbits import (
@@ -93,6 +94,25 @@ def test_p_group_orbits_prime_cyclic(p):
 def test_p_group_orbits_rejects_bad_exponents():
     with pytest.raises(ValueError):
         p_group_orbits(2, (0, 1))
+
+
+# p = 4 used to report "C4" orbits of sizes 3 and 1, and p = 0 a size of -1
+@pytest.mark.parametrize("p", [0, 1, 4, 6])
+def test_p_group_orbits_rejects_non_prime(p):
+    with pytest.raises(ValueError):
+        p_group_orbits(p, (1,))
+
+
+def test_p_group_orbits_sweeps_once_per_orbit(monkeypatch):
+    calls = []
+
+    def counting(fs, es):
+        calls.append(fs)
+        return p_group_quotient(fs, es)
+
+    monkeypatch.setattr("autorbit.orbits.p_group_quotient", counting)
+    found = p_group_orbits(2, (1, 2, 2, 3))
+    assert len(calls) == len(found)
 
 
 def test_enumerate_orbits_c6():
