@@ -25,7 +25,7 @@ from .errors import (
     NonPositiveModulus,
 )
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement
-from .orbits import DEFAULT_ENUMERATION_CAP, enumerate_orbits
+from .orbits import DEFAULT_ENUMERATION_CAP, orbit_census
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -142,15 +142,14 @@ def cmd_orbits(args: argparse.Namespace) -> int:
                 }
             )
     else:
-        summaries = enumerate_orbits(G, cap=args.cap)
         rows = [
             {
-                "size": s.size,
-                "representative": s.representatives[0].realize(G).coords,
-                "quotient": s.quotient_key,
-                "forms": len(s.representatives),
+                "size": r.size,
+                "representative": r.first.realize(G).coords,
+                "quotient": r.quotient_key,
+                "forms": r.form_count,
             }
-            for s in summaries
+            for r in orbit_census(G, cap=args.cap)
         ]
     total = sum(r["size"] for r in rows)
     if args.format == "json":
@@ -236,7 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("orbits", help="list all automorphic orbits")
     o.add_argument("-g", "--group", required=True)
     o.add_argument("--format", choices=("text", "json"), default="text")
-    o.add_argument("--cap", type=positive_int, default=DEFAULT_ENUMERATION_CAP)
+    o.add_argument(
+        "--cap",
+        type=positive_int,
+        default=DEFAULT_ENUMERATION_CAP,
+        help="bounds the number of orbits, or the --oracle search",
+    )
     o.add_argument(
         "--oracle",
         action="store_true",

@@ -1,32 +1,45 @@
 """Enumerate the automorphic orbits of a finite abelian group.
 
-Within one p-primary part, every element is automorphic to its reduced form
+Within one p-primary part every element is automorphic to its reduced form
 (p^{b_1}, ..., p^{b_n}) with 0 <= b_i <= e_i (b_i = e_i standing for the zero
-coordinate), and two reduced forms share an orbit exactly when they have the
-same non-dominated (b_i, e_i) points (fastquot.canonical_points), which name
-the orbit.  Iterating the prod(e_i + 1) reduced forms in odometer order and
-bucketing them by that name yields the per-prime orbits; the number of
-ordinary elements sharing a reduced form is the product over coordinates of
-phi(p^{e_i - b_i}) (one, for a zero coordinate), read from a per-exponent
-table.  Each orbit's quotient key comes from one valuation sweep of its first
-form.  Orbits of the whole group are Cartesian products of per-prime orbits,
-with multiplying sizes and concatenated quotient keys.
+coordinate).  Two reduced forms share an orbit exactly when they have the same
+non-dominated (valuation, exponent) points, where (f', e') dominates (f, e)
+when f' <= f and e' - f' >= e - f (Dutta and Prasad; fastquot.canonical_points
+computes them for one form).  So each orbit is named by an antichain, and the
+antichains are enumerated directly.  The components of equal exponent e form
+a block of multiplicity m; an antichain takes at most one point (a, e) per
+block, with a < e, and a, e and e - a strictly increasing along it.
 
-Enumeration is capped (default 10**7 combined reduced forms) and fails loudly
-with CapacityExceeded rather than hang.
+For an antichain A, a block on A has least valuation exactly a, and every
+valuation of any other block is at least
+lo = min(e, min over (a, b) in A of max(a, a + e - b)).  These bounds give, in
+closed form, the orbit's element count
+prod_A (p^{m(e-a)} - p^{m(e-a-1)}) * prod_rest p^{m(e-lo)}, its reduced-form
+count prod_A ((e-a+1)^m - (e-a)^m) * prod_rest (e-lo+1)^m, and its first form
+in odometer order (every position at its block's bound); orbits are listed by
+that first form.  orbit_census stops there.  p_group_orbits also writes out
+each orbit's forms, in odometer order, as one Cartesian product of the
+per-position ranges [bound, e_i]: a block of multiplicity 1 on A is pinned to
+its point, and a larger block on A keeps the forms in which some coordinate
+of the block equals a.  Each orbit's quotient key comes from one valuation
+sweep of its first form.  Orbits of the whole group are Cartesian products of
+per-prime orbits, with multiplying sizes and concatenated quotient keys.
+
+enumerate_orbits is capped (default 10**7 combined reduced forms) and
+orbit_census by the number of orbits, which it counts before building them;
+both fail loudly with CapacityExceeded rather than hang.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from collections import defaultdict
-from operator import getitem
+from itertools import compress, product, repeat
+from operator import attrgetter, contains, itemgetter, mul, sub
 
-from .arith import crt, is_prime, phi_prime_power
+from .arith import crt, is_prime
 from .errors import CapacityExceeded, DimensionMismatch, InvalidValuation
-from .fastquot import canonical_points, p_group_quotient, sylow_decompose
+from .fastquot import p_group_quotient, sylow_decompose
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, Record
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -87,15 +100,115 @@ def reduced_form(G: AbelianGroup, x: GroupElement) -> ReducedForm:
     return ReducedForm(tuple((p, tuple(fs)) for p, (fs, _es) in sylow_decompose(G, x).items()))
 
 
+class CensusRow(Record):
+    """One automorphic orbit without its reduced forms: the canonical key of
+    its quotient, its first reduced form, how many reduced forms it has, and
+    its exact element count."""
+
+    __slots__ = ("quotient_key", "first", "form_count", "size")
+    quotient_key: CanonicalGroupKey
+    first: ReducedForm
+    form_count: int
+    size: int
+
+
+def _blocks(exponents: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """(es, ms, block_of): the distinct exponents ascending, their
+    multiplicities, and each position's block."""
+    es = sorted(set(exponents))
+    block_of = list(map(es.index, exponents))
+    return es, list(map(block_of.count, range(len(es)))), block_of
+
+
+def _count_antichains(es: list[int], limit: int) -> int:
+    """How many antichains _antichains(es) gives, or some number above limit
+    when there are more, so that a census too large for its cap fails before
+    it is built.  A subtree's count depends only on where it starts, so each
+    start is counted once."""
+    # Every subset of an antichain is one, so an antichain of L points means
+    # at least 2^L of them.  Points of exponents at least 2 apart can always
+    # be chained (a rises by 1 per point), so the greedy pick is a longest
+    # antichain; past the limit this also keeps the recursion shallow.
+    longest, last = 0, -2
+    for e in es:
+        if e >= last + 2:
+            longest, last = longest + 1, e
+    if 2**longest > limit:
+        return 2**longest
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def count_from(j0: int, a0: int, gap0: int) -> int:
+        # the antichains that extend one ending in (a0, e0), gap0 = e0 - a0, by blocks j0..
+        n = memo.get((j0, a0, gap0))
+        if n is None:
+            n = 1
+            for j in range(j0, len(es)):
+                e = es[j]
+                for a in range(a0 + 1, e - gap0):
+                    if n > limit:
+                        break
+                    n += count_from(j + 1, a, e - a)
+            memo[j0, a0, gap0] = n
+        return n
+
+    return count_from(0, -1, 0)
+
+
+def _antichains(es: list[int]) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """Every antichain over the blocks of distinct exponents ``es``
+    (ascending), as (bounds, points): the least valuation each block takes
+    in the antichain's orbit, and the antichain's points (block index, a) by
+    block."""
+    out: list[tuple[list[int], list[tuple[int, int]]]] = []
+
+    def extend(j0: int, a0: int, gap0: int, bounds: list[int], points: list) -> None:
+        # the last point is (a0, e0) with gap0 = e0 - a0; blocks j0.. lie above it
+        out.append((bounds + [e - gap0 for e in es[j0:]], points))
+        for j in range(j0, len(es)):
+            e = es[j]
+            for a in range(a0 + 1, e - gap0):
+                skipped = [min(a, b - gap0) for b in es[j0:j]]
+                extend(j + 1, a, e - a, bounds + skipped + [a], points + [(j, a)])
+
+    extend(0, -1, 0, [], [])
+    return out
+
+
+def _p_census(p: int, blocks: tuple[list[int], list[int], list[int]]) -> list:
+    """The orbits of the p-group with these blocks (from _blocks), by first
+    form: per orbit (first form, bounds, points, size, form count), with
+    bounds and points as from _antichains."""
+    es, ms, block_of = blocks
+    spans = [e + 1 for e in es]
+    rows = []
+    for bounds, points in _antichains(es):
+        shift = sum(map(mul, ms, map(sub, es, bounds)))
+        size = 1
+        count = math.prod(map(pow, map(sub, spans, bounds), ms))
+        for j, a in points:
+            # at least one of the block's m valuations is a: all >= a, minus all > a
+            m = ms[j]
+            whole = (es[j] - a + 1) ** m
+            shift -= m
+            size *= p**m - 1
+            count = count // whole * (whole - (es[j] - a) ** m)
+        first = tuple(map(bounds.__getitem__, block_of))
+        rows.append((first, bounds, points, size * p**shift, count))
+    rows.sort(key=itemgetter(0))
+    return rows
+
+
 def p_group_orbits(
     p: int, exponents: tuple[int, ...], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[OrbitSummary]:
     """Orbits of the p-group with the given component exponents.
 
-    Iterates reduced forms in mixed-radix (odometer) order, buckets them by
-    their canonical points, and sums exact element counts; each orbit's key
-    is the quotient by its first form.  Output order is first occurrence.
-    Raises ValueError when p is not prime or an exponent is below 1.
+    Enumerates the orbits' antichains, reads each orbit's size and bounds in
+    closed form, and expands its reduced forms in mixed-radix (odometer)
+    order; each orbit's key is the quotient by its first form.  Output order
+    is first occurrence in odometer order.  Raises ValueError when p is not
+    prime or an exponent is below 1, and CapacityExceeded when the reduced
+    forms exceed the cap.
 
     >>> [(o.quotient_key.describe_invariant(), o.size) for o in p_group_orbits(2, (2,))]
     [('C1', 2), ('C2', 1), ('C4', 1)]
@@ -107,20 +220,70 @@ def p_group_orbits(
     total = math.prod(e + 1 for e in exponents)
     if total > cap:
         raise CapacityExceeded(f"{total} reduced forms exceed cap {cap}")
-    # phi[e][b]: elements of C_{p^e} whose reduced coordinate is p^b.
-    phi = {e: [phi_prime_power(p, e - b) for b in range(e)] + [1] for e in set(exponents)}
-    tables = [phi[e] for e in exponents]
-    # canonical points -> reduced forms, in odometer order
-    orbits: defaultdict[tuple[tuple[int, int], ...], list] = defaultdict(list)
-    for b in itertools.product(*(range(e + 1) for e in exponents)):
-        orbits[canonical_points(b, exponents)].append(b)
-    return [
-        OrbitSummary(
-            CanonicalGroupKey.from_map({p: p_group_quotient(forms[0], exponents)}),
-            tuple(ReducedForm(((p, b),)) for b in forms),
-            sum(math.prod(map(getitem, tables, b)) for b in forms),
+    es, ms, block_of = blocks = _blocks(exponents)
+    spans = [e + 1 for e in es]
+    # a block of two or more positions reads its coordinates in one call
+    getters = [None] * len(es)
+    for j, m in enumerate(ms):
+        if m > 1:
+            getters[j] = itemgetter(*(i for i, b in enumerate(block_of) if b == j))
+    out = []
+    for first, bounds, points, size, _ in _p_census(p, blocks):
+        ranges = list(map(range, bounds, spans))
+        wanted = []
+        for j, a in points:
+            if getters[j] is None:
+                ranges[j] = range(a, a + 1)
+            else:
+                wanted.append((getters[j], a))
+        forms = product(*map(ranges.__getitem__, block_of))
+        for get, a in wanted:
+            forms = list(forms)
+            forms = compress(forms, map(contains, map(get, forms), repeat(a)))
+        out.append(
+            OrbitSummary(
+                CanonicalGroupKey.from_map({p: p_group_quotient(first, exponents)}),
+                tuple(map(ReducedForm, zip(zip(repeat(p), forms)))),
+                size,
+            )
         )
-        for forms in orbits.values()
+    return out
+
+
+def orbit_census(G: AbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[CensusRow]:
+    """Every automorphic orbit of G without writing out its reduced forms.
+
+    Row i describes enumerate_orbits(G)[i]: the same quotient key and size,
+    its first representative, and its number of representatives.  Across
+    primes, sizes and form counts multiply and first forms concatenate.  The
+    cap bounds the number of orbits; CapacityExceeded when it is passed.
+
+    >>> from .groups import make_group
+    >>> [(r.quotient_key.describe_invariant(), r.form_count, r.size) for r in orbit_census(make_group([4, 4]))]
+    [('C4', 5, 12), ('C2 x C4', 3, 3), ('C4 x C4', 1, 1)]
+    """
+    per_prime = []
+    count = 1
+    for p in G.primes():
+        exponents = G.primary_exponents(p)
+        blocks = _blocks(exponents)
+        count *= _count_antichains(blocks[0], cap // count)
+        if count > cap:
+            raise CapacityExceeded(f"{count}+ orbits exceed cap {cap}")
+        per_prime.append(
+            [
+                ((p, p_group_quotient(first, exponents)), (p, first), forms, size)
+                for first, _, _, size, forms in _p_census(p, blocks)
+            ]
+        )
+    return [
+        CensusRow(
+            CanonicalGroupKey.from_map(dict(key for key, _, _, _ in combo)),
+            ReducedForm(tuple(first for _, first, _, _ in combo)),
+            math.prod(forms for _, _, forms, _ in combo),
+            math.prod(size for _, _, _, size in combo),
+        )
+        for combo in product(*per_prime)
     ]
 
 
@@ -147,13 +310,14 @@ def enumerate_orbits(
     if len(per_prime) == 1:
         return per_prime[0]
     # Primes ascend and are disjoint, so concatenated parts are canonical.
-    rep_parts = [[[rf.parts for rf in o.representatives] for o in orbits] for orbits in per_prime]
+    parts_of = attrgetter("parts")
+    rep_parts = [[list(map(parts_of, o.representatives)) for o in orbits] for orbits in per_prime]
     combined = []
-    for combo, parts in zip(itertools.product(*per_prime), itertools.product(*rep_parts)):
+    for combo, parts in zip(product(*per_prime), product(*rep_parts)):
         combined.append(
             OrbitSummary(
                 CanonicalGroupKey(sum((o.quotient_key.parts for o in combo), ())),
-                tuple(ReducedForm(sum(row, ())) for row in itertools.product(*parts)),
+                tuple(map(ReducedForm, map(sum, product(*parts), repeat(())))),
                 math.prod(o.size for o in combo),
             )
         )

@@ -7,7 +7,7 @@ import math
 from functools import lru_cache
 
 from autorbit.arith import factorize, phi_prime_power
-from autorbit.fastquot import p_group_quotient
+from autorbit.fastquot import canonical_points, p_group_quotient
 from autorbit.groups import AbelianGroup, CanonicalGroupKey, GroupElement, element_order
 from autorbit.orbits import OrbitSummary, ReducedForm
 
@@ -131,3 +131,41 @@ def reference_orbits(G: AbelianGroup) -> list[OrbitSummary]:
         )
         out.append(OrbitSummary(key, reps, size))
     return out
+
+
+def exponent_multisets(max_forms: int, smallest: int = 1):
+    """Every ascending tuple of exponents >= smallest with prod(e + 1) <= max_forms."""
+    yield ()
+    e = smallest
+    while e + 1 <= max_forms:
+        for rest in exponent_multisets(max_forms // (e + 1), e):
+            yield (e,) + rest
+        e += 1
+
+
+def reference_p_group_orbits(
+    p: int, exponents: tuple[int, ...]
+) -> tuple[list[OrbitSummary], list[tuple[tuple[int, int], ...]]]:
+    """p_group_orbits the slow way, and each orbit's antichain: every reduced
+    form bucketed by its canonical points, its element count a product of
+    per-coordinate phi values, one sweep of each orbit's first form for the
+    key.  Same output order: orbits by first occurrence, forms in odometer
+    order."""
+    buckets: dict[tuple[tuple[int, int], ...], tuple[list, list]] = {}
+    for b in itertools.product(*(range(e + 1) for e in exponents)):
+        count = 1
+        for b_i, e_i in zip(b, exponents):
+            if b_i != e_i:
+                count *= phi_prime_power(p, e_i - b_i)
+        forms, sizes = buckets.setdefault(canonical_points(b, exponents), ([], []))
+        forms.append(b)
+        sizes.append(count)
+    orbits = [
+        OrbitSummary(
+            CanonicalGroupKey.from_map({p: p_group_quotient(forms[0], exponents)}),
+            tuple(ReducedForm(((p, b),)) for b in forms),
+            sum(sizes),
+        )
+        for forms, sizes in buckets.values()
+    ]
+    return orbits, list(buckets)

@@ -141,6 +141,18 @@ def test_orbits_json_golden_and_round_trip(capsys):
     assert total == int(payload["size_total"])
 
 
+def test_orbits_answers_from_the_census(capsys):
+    # C4^512 has 3^512 reduced forms but only 3 orbits; --cap counts orbits
+    group = ",".join(["4"] * 512)
+    code, out, _ = run_cli(capsys, "orbits", "-g", group)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2] == "orbits: 3"
+    assert lines[-1] == f"size total: {4**512}"
+    assert run_cli(capsys, "orbits", "-g", group, "--cap", "3")[0] == 0
+    assert run_cli(capsys, "orbits", "-g", group, "--cap", "2")[0] == 5
+
+
 def test_orbits_oracle_flag(capsys):
     code, out, _ = run_cli(capsys, "orbits", "-g", "2,4", "--oracle")
     assert code == 0

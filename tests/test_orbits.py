@@ -1,17 +1,27 @@
 import math
+import random
+import time
 
 import pytest
 
-from _support import divisor_count, groups_up_to, reference_orbits
+from _support import (
+    divisor_count,
+    exponent_multisets,
+    groups_up_to,
+    reference_orbits,
+    reference_p_group_orbits,
+)
 from autorbit.equivalence import are_automorphic, quotient_key
 from autorbit.errors import CapacityExceeded, DimensionMismatch, InvalidValuation
-from autorbit.fastquot import p_group_quotient
+from autorbit.fastquot import canonical_points, p_group_quotient
 from autorbit.groups import make_group
 from autorbit.oracle import brute_orbits
 from autorbit.orbits import (
+    CensusRow,
     OrbitSummary,
     ReducedForm,
     enumerate_orbits,
+    orbit_census,
     p_group_orbits,
     reduced_form,
 )
@@ -263,3 +273,78 @@ def test_all_representatives_map_to_summary_key():
         for s in enumerate_orbits(G):
             for rf in s.representatives:
                 assert quotient_key(G, rf.realize(G)) == s.quotient_key, (G, rf)
+
+
+# Every exponent multiset up to this many reduced forms (457 of them, rank <= 6),
+# in three position orders; 3000 would take 30,169 multisets and 51M forms per order.
+DIFFERENTIAL_MAX_FORMS = 120
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_p_group_orbits_match_canonical_points_reference(p):
+    rng = random.Random(13)
+    for ascending in exponent_multisets(DIFFERENTIAL_MAX_FORMS):
+        shuffled = list(ascending)
+        rng.shuffle(shuffled)
+        for exponents in {ascending, ascending[::-1], tuple(shuffled)}:
+            found = p_group_orbits(p, exponents)
+            expected, antichains = reference_p_group_orbits(p, exponents)
+            assert found == expected, exponents
+            # the closed-form expansion keeps canonical_points a live oracle
+            for orbit, points in zip(found, antichains):
+                for rf in orbit.representatives:
+                    assert canonical_points(rf.parts[0][1], exponents) == points
+
+
+def test_census_matches_enumerate_orbits():
+    for G in groups_up_to(128):
+        summaries = enumerate_orbits(G)
+        # the cap counts orbits exactly
+        rows = orbit_census(G, cap=len(summaries))
+        if len(summaries) > 1:
+            with pytest.raises(CapacityExceeded):
+                orbit_census(G, cap=len(summaries) - 1)
+        assert len(rows) == len(summaries), G
+        for row, s in zip(rows, summaries):
+            assert isinstance(row, CensusRow)
+            assert row.first == s.representatives[0], G
+            assert row.form_count == len(s.representatives), G
+            assert (row.size, row.quotient_key) == (s.size, s.quotient_key), G
+
+
+@pytest.mark.parametrize(
+    "moduli, orbit_count",
+    [
+        ([2**k for k in range(1, 10)] * 50, 512),  # rank 450, 9 distinct exponents
+        ([4] * 512, 3),
+    ],
+    ids=["2-to-512-x50", "C4^512"],
+)
+def test_census_is_closed_form_past_the_form_cap(moduli, orbit_count):
+    G = make_group(moduli)
+    start = time.perf_counter()
+    rows = orbit_census(G)
+    elapsed = time.perf_counter() - start
+    assert len(rows) == orbit_count
+    assert sum(r.size for r in rows) == G.order
+    assert sum(r.form_count for r in rows) == math.prod(divisor_count(d) for d in moduli)
+    assert elapsed < 1.0
+    # p_group_orbits writes every form out, so the form cap still stops it
+    with pytest.raises(CapacityExceeded):
+        p_group_orbits(2, G.primary_exponents(2))
+
+
+def test_census_cap_bounds_orbits():
+    assert len(orbit_census(make_group([2, 4]), cap=4)) == 4
+    with pytest.raises(CapacityExceeded):
+        orbit_census(make_group([2, 4]), cap=3)
+    # C2 x C3 x C9 has 2 * 4 = 8 orbits; the cap counts their product
+    assert len(orbit_census(make_group([2, 3, 9]), cap=8)) == 8
+    with pytest.raises(CapacityExceeded):
+        orbit_census(make_group([2, 3, 9]), cap=7)
+    assert len(orbit_census(make_group([4] * 512), cap=3)) == 3
+    # 40 distinct exponents give about 2^40 orbits: counted, not built, before failing
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded):
+        orbit_census(make_group([2**k for k in range(1, 41)]))
+    assert time.perf_counter() - start < 1.0
