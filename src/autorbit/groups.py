@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import deque
 from typing import Iterable, Iterator
 
 from .arith import crt, factorize
@@ -43,7 +44,8 @@ class Record:
     arity), ``__eq__`` (equal fields, same class only), ``__hash__`` (of the
     tuple of fields), pickling and copying through ``__init__``, and the repr
     ``Name(field=value, ...)``.  Assigning or deleting a field raises
-    AttributeError.
+    AttributeError.  A one-field record type can also build many records at
+    once with ``_many``, which skips ``__init__``.
     """
 
     __slots__ = ()
@@ -66,6 +68,17 @@ class Record:
             )
         for set_field, value in zip(setters, values):
             set_field(self, value)
+
+    @classmethod
+    def _many(cls, values: Iterable, count: int) -> tuple:
+        """count records of this one-field type, the i-th holding the i-th
+        of values; values must hold at least count items.  Equal to
+        tuple(map(cls, values)) on exactly count values, but built by C-level
+        calls only."""
+        (set_field,) = cls._setters
+        records = tuple(map(object.__new__, itertools.repeat(cls, count)))
+        deque(map(set_field, records, values), maxlen=0)
+        return records
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -25,6 +25,13 @@ of the block equals a.  Each orbit's quotient key comes from one valuation
 sweep of its first form.  Orbits of the whole group are Cartesian products of
 per-prime orbits, with multiplying sizes and concatenated quotient keys.
 
+Each form is written once.  Per prime, the product yields a form as the pair
+(p, (b_1, ..., b_n)); a combined form's parts are one tuple of such pairs, one
+per prime, taken straight from the Cartesian product of the per-prime pair
+lists.  No per-prime ReducedForm is built: each orbit's ReducedForm records
+are made in one bulk call (Record._many) from its exact form count, so no
+form passes through Record.__init__.
+
 enumerate_orbits is capped (default 10**7 combined reduced forms) and
 orbit_census by the number of orbits, which it counts before building them;
 both fail loudly with CapacityExceeded rather than hang.
@@ -34,8 +41,8 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import compress, product, repeat
-from operator import attrgetter, contains, itemgetter, mul, sub
+from itertools import compress, product, repeat, tee
+from operator import contains, itemgetter, mul, sub
 
 from .arith import crt, is_prime
 from .errors import CapacityExceeded, DimensionMismatch, InvalidValuation
@@ -198,25 +205,21 @@ def _p_census(p: int, blocks: tuple[list[int], list[int], list[int]]) -> list:
     return rows
 
 
-def p_group_orbits(
-    p: int, exponents: tuple[int, ...], cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[OrbitSummary]:
-    """Orbits of the p-group with the given component exponents.
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
 
-    Enumerates the orbits' antichains, reads each orbit's size and bounds in
-    closed form, and expands its reduced forms in mixed-radix (odometer)
-    order; each orbit's key is the quotient by its first form.  Output order
-    is first occurrence in odometer order.  Raises ValueError when p is not
-    prime or an exponent is below 1, and CapacityExceeded when the reduced
-    forms exceed the cap.
 
-    >>> [(o.quotient_key.describe_invariant(), o.size) for o in p_group_orbits(2, (2,))]
-    [('C1', 2), ('C2', 1), ('C4', 1)]
-    """
+def _p_orbits(p: int, exponents: tuple[int, ...], cap: int) -> list:
+    """The orbits of the p-group with these component exponents, by first
+    form: per orbit (quotient exponents, size, form count, pairs), where
+    pairs iterates over the orbit's forms in odometer order, each as the
+    pair (p, (b_1, ..., b_n)).  Validates as p_group_orbits does."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if any(e < 1 for e in exponents):
         raise ValueError("component exponents must be >= 1")
+    _check_cap(cap)
     total = math.prod(e + 1 for e in exponents)
     if total > cap:
         raise CapacityExceeded(f"{total} reduced forms exceed cap {cap}")
@@ -228,7 +231,7 @@ def p_group_orbits(
         if m > 1:
             getters[j] = itemgetter(*(i for i, b in enumerate(block_of) if b == j))
     out = []
-    for first, bounds, points, size, _ in _p_census(p, blocks):
+    for first, bounds, points, size, count in _p_census(p, blocks):
         ranges = list(map(range, bounds, spans))
         wanted = []
         for j, a in points:
@@ -238,16 +241,34 @@ def p_group_orbits(
                 wanted.append((getters[j], a))
         forms = product(*map(ranges.__getitem__, block_of))
         for get, a in wanted:
-            forms = list(forms)
-            forms = compress(forms, map(contains, map(get, forms), repeat(a)))
-        out.append(
-            OrbitSummary(
-                CanonicalGroupKey.from_map({p: p_group_quotient(first, exponents)}),
-                tuple(map(ReducedForm, zip(zip(repeat(p), forms)))),
-                size,
-            )
-        )
+            # tee holds only the candidate compress is reading, not them all
+            forms, candidates = tee(forms)
+            forms = compress(forms, map(contains, map(get, candidates), repeat(a)))
+        out.append((p_group_quotient(first, exponents), size, count, zip(repeat(p), forms)))
     return out
+
+
+def p_group_orbits(
+    p: int, exponents: tuple[int, ...], cap: int = DEFAULT_ENUMERATION_CAP
+) -> list[OrbitSummary]:
+    """Orbits of the p-group with the given component exponents.
+
+    Enumerates the orbits' antichains, reads each orbit's size and bounds in
+    closed form, and expands its reduced forms in mixed-radix (odometer)
+    order; each orbit's key is the quotient by its first form.  Output order
+    is first occurrence in odometer order.  Raises ValueError when p is not
+    prime, an exponent is below 1 or the cap is below 1, and
+    CapacityExceeded when the reduced forms exceed the cap.
+
+    >>> [(o.quotient_key.describe_invariant(), o.size) for o in p_group_orbits(2, (2,))]
+    [('C1', 2), ('C2', 1), ('C4', 1)]
+    """
+    return [
+        OrbitSummary(
+            CanonicalGroupKey.from_map({p: quotient}), ReducedForm._many(zip(pairs), count), size
+        )
+        for quotient, size, count, pairs in _p_orbits(p, exponents, cap)
+    ]
 
 
 def orbit_census(G: AbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[CensusRow]:
@@ -256,12 +277,14 @@ def orbit_census(G: AbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Ce
     Row i describes enumerate_orbits(G)[i]: the same quotient key and size,
     its first representative, and its number of representatives.  Across
     primes, sizes and form counts multiply and first forms concatenate.  The
-    cap bounds the number of orbits; CapacityExceeded when it is passed.
+    cap bounds the number of orbits; CapacityExceeded when it is passed, and
+    ValueError when it is below 1.
 
     >>> from .groups import make_group
     >>> [(r.quotient_key.describe_invariant(), r.form_count, r.size) for r in orbit_census(make_group([4, 4]))]
     [('C4', 5, 12), ('C2 x C4', 3, 3), ('C4 x C4', 1, 1)]
     """
+    _check_cap(cap)
     per_prime = []
     count = 1
     for p in G.primes():
@@ -295,30 +318,37 @@ def enumerate_orbits(
     Per-prime orbits are combined by Cartesian product: sizes multiply,
     quotient keys concatenate, and representative reduced forms pair up.  The
     combined representative count is exactly prod_i tau(d_i), which is what
-    the cap limits.
+    the cap limits; ValueError when the cap is below 1.
 
     >>> from .groups import make_group
     >>> [(o.quotient_key.describe_invariant(), o.size) for o in enumerate_orbits(make_group([6]))]
     [('C1', 2), ('C3', 1), ('C2', 2), ('C6', 1)]
     """
+    _check_cap(cap)
+    primes = G.primes()
     total_forms = 1
-    for p in G.primes():
+    for p in primes:
         total_forms *= math.prod(e + 1 for e in G.primary_exponents(p))
         if total_forms > cap:
             raise CapacityExceeded(f"{total_forms}+ reduced forms exceed cap {cap}")
-    per_prime = [p_group_orbits(p, G.primary_exponents(p), cap) for p in G.primes()]
-    if len(per_prime) == 1:
-        return per_prime[0]
-    # Primes ascend and are disjoint, so concatenated parts are canonical.
-    parts_of = attrgetter("parts")
-    rep_parts = [[list(map(parts_of, o.representatives)) for o in orbits] for orbits in per_prime]
-    combined = []
-    for combo, parts in zip(product(*per_prime), product(*rep_parts)):
-        combined.append(
-            OrbitSummary(
-                CanonicalGroupKey(sum((o.quotient_key.parts for o in combo), ())),
-                tuple(map(ReducedForm, map(sum, product(*parts), repeat(())))),
-                math.prod(o.size for o in combo),
-            )
+    if len(primes) == 1:
+        return p_group_orbits(primes[0], G.primary_exponents(primes[0]), cap)
+    # Per prime and orbit: (key parts, size, form count, list of (p, bs) pairs).
+    per_prime = [
+        [
+            (CanonicalGroupKey.from_map({p: quotient}).parts, size, count, list(pairs))
+            for quotient, size, count, pairs in _p_orbits(p, G.primary_exponents(p), cap)
+        ]
+        for p in primes
+    ]
+    # Primes ascend and are disjoint, so the concatenated key parts are
+    # canonical, and each tuple of per-prime pairs is a combined form's parts.
+    key_of, size_of, count_of, pairs_of = map(itemgetter, range(4))
+    return [
+        OrbitSummary(
+            CanonicalGroupKey(sum(map(key_of, combo), ())),
+            ReducedForm._many(product(*map(pairs_of, combo)), math.prod(map(count_of, combo))),
+            math.prod(map(size_of, combo)),
         )
-    return combined
+        for combo in product(*per_prime)
+    ]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 
@@ -154,6 +156,7 @@ def test_enumerate_orbits_trivial_group():
         (12, 18, 10),  # several primes
         (4, 4, 9, 3, 5),
         (8, 2, 45, 15, 7),
+        (12, 12, 90, 90),  # three primes, repeated blocks at 2 and 3
         (2,),  # rank 1
         (64,),
         (3**5,),
@@ -259,6 +262,36 @@ def test_capacity_cap_enforced():
         enumerate_orbits(make_group([2, 4]), cap=2)
     with pytest.raises(CapacityExceeded):
         p_group_orbits(2, (1, 2), cap=5)
+
+
+def test_cap_below_one_is_value_error():
+    G = make_group([4, 4])
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            enumerate_orbits(G, cap=cap)
+        with pytest.raises(ValueError):
+            p_group_orbits(2, (2, 2), cap=cap)
+        with pytest.raises(ValueError):
+            orbit_census(G, cap=cap)
+    # the trivial group has one orbit, but a cap below 1 is still refused
+    for mods in ([], [1]):
+        with pytest.raises(ValueError):
+            enumerate_orbits(make_group(mods), cap=0)
+        with pytest.raises(ValueError):
+            orbit_census(make_group(mods), cap=0)
+
+
+@pytest.mark.parametrize("moduli", [(8, 2, 45, 15, 7), (8, 8, 8, 8)])
+def test_bulk_built_forms_behave_like_constructed(moduli):
+    for s in enumerate_orbits(make_group(moduli)):
+        for rf in s.representatives:
+            assert type(rf) is ReducedForm
+            built = ReducedForm(rf.parts)
+            assert rf == built and hash(rf) == hash(built) and repr(rf) == repr(built)
+            assert pickle.loads(pickle.dumps(rf)) == rf
+            assert copy.deepcopy(rf) == rf
+            with pytest.raises(AttributeError):
+                rf.parts = ()
 
 
 def test_orbit_summary_fields():
