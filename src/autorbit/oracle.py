@@ -3,17 +3,25 @@ and quotient identification by torsion counts.
 
 Everything here works by direct enumeration over group elements, with no
 Smith normal form and no valuation sweeps, so it is an independent check of
-the production paths.  It is desk-scale machinery: every entry point enforces
-a capacity cap and raises CapacityExceeded beyond it.  It is first-class
-(exposed on the CLI), not test-only code, since the naive iterate-over-Aut(G)
-decision procedure is itself a baseline worth comparing against.
+the production paths.  Aut(G) is found by a depth-first search over the
+generators' images that keeps an image only while the rows chosen so far stay
+independent mod every prime (the Burnside basis theorem).  An element's orbit
+is its images under those tables; since an image depends only on the
+generators where the element's coordinates are nonzero, each distinct
+projection of the tables onto that support is applied once.  It is
+desk-scale machinery: every entry point enforces a capacity cap and raises
+CapacityExceeded beyond it.  It is first-class (exposed on the CLI), not
+test-only code, since the naive iterate-over-Aut(G) decision procedure is
+itself a baseline worth comparing against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
+from typing import Iterator
 
 from .arith import factorize
 from .errors import CapacityExceeded
@@ -73,26 +81,30 @@ def _apply(coords, images, moduli) -> tuple[int, ...]:
     return tuple(a % d for a, d in zip(acc, moduli))
 
 
-def _invertible_mod(p: int, rows: list[list[int]]) -> bool:
-    """Is the square matrix with these rows invertible over F_p?  Gaussian
-    elimination, in place."""
-    n = len(rows)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c] % p), None)
-        if pivot is None:
-            return False
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        u = pow(rows[c][c], -1, p)
-        for r in range(c + 1, n):
-            if f := rows[r][c] * u % p:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[c])]
-    return True
+def _images(coords, tables, moduli) -> Iterator[tuple[int, ...]]:
+    """The images of the element with these coordinates under the tables.
+    An image depends only on the generators where the coordinates are
+    nonzero, so the tables are projected onto those generators and each
+    distinct projection is applied once, lazily."""
+    support = [i for i, c in enumerate(coords) if c]
+    if not support:
+        return iter((coords,))
+    if len(support) == len(coords):
+        # the tables are distinct, so projecting them would merge none
+        return (_apply(coords, images, moduli) for images in tables)
+    projected = set(map(operator.itemgetter(*support), tables))
+    if len(support) == 1:
+        # itemgetter of a single index returns the image, not a 1-tuple
+        projected = {(img,) for img in projected}
+    nonzero = [coords[i] for i in support]
+    return (_apply(nonzero, images, moduli) for images in projected)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=8)
 def _raw_automorphisms(moduli: tuple[int, ...], cap: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All automorphisms as tuples of generator images (raw coordinate tuples),
-    in lexicographic image order."""
+    in lexicographic image order: the order of the product of the image pools,
+    which a depth-first search over the generators keeps while it prunes."""
     order = math.prod(moduli)
     # positions[p]: the coordinates whose modulus p divides.  The rank, the
     # minimal generator count, is the most moduli any one prime divides.
@@ -110,20 +122,74 @@ def _raw_automorphisms(moduli: tuple[int, ...], cap: int) -> tuple[tuple[tuple[i
     # elements, at most |G_p| per prime p dividing d_i.  Each prime divides at
     # most `rank` of the moduli, so the candidate tuples number at most
     # prod_p |G_p|^rank = order**rank, which the cap check above already bounds.
-    pools = [
-        list(itertools.product(*(range(0, e, e // math.gcd(d, e)) for e in moduli)))
-        for d in moduli
-    ]
+    if not moduli:
+        return ((),)
     # By the Burnside basis theorem an endomorphism is bijective exactly when,
-    # for each prime p, the map it induces on G/pG = F_p^{r_p} is: the r_p x r_p
-    # matrix of image coordinates mod p over the positions p divides.
-    found = []
-    for candidate in itertools.product(*pools):
-        if all(
-            _invertible_mod(p, [[candidate[i][j] % p for j in pos] for i in pos])
-            for p, pos in positions.items()
-        ):
-            found.append(candidate)
+    # for each prime p, the map it induces on G/pG = F_p^{r_p} is: when the
+    # images' coordinates mod p over p's positions, one row per generator at
+    # those positions, are independent.  So the search fixes the images one
+    # generator at a time and keeps a pool image only when each of its rows
+    # lies outside the F_p-span of the rows of the same prime chosen before.
+    # levels[i] is generator i's pool, in lexicographic order, with one entry
+    # per prime at position i: (prime index, each image's row mod p, whether i
+    # is p's last position, after which p's span is never read).
+    primes = list(positions.items())
+    levels = []
+    for i, d in enumerate(moduli):
+        pool = list(itertools.product(*(range(0, e, e // math.gcd(d, e)) for e in moduli)))
+        rows = [
+            (q, [tuple(img[j] % p for j in pos) for img in pool], pos[-1] == i)
+            for q, (p, pos) in enumerate(primes)
+            if i in pos
+        ]
+        levels.append((pool, rows))
+
+    def kept(i, spans):
+        """Selectors over generator i's pool: is each image's row outside the
+        span for every prime at position i."""
+        pool, rows = levels[i]
+        if not rows:
+            return itertools.repeat(True, len(pool))
+        inside = zip(*(map(spans[q].__contains__, r) for q, r, _ in rows))
+        return map(operator.not_, map(any, inside))
+
+    # Depth-first with an explicit stack over generators 0..n-2, so the
+    # survivors come out in the lexicographic order of the full product; the
+    # last generator's kept images are appended to the prefix in one pass.
+    # Entry i holds the indices of generator i's kept images and, per prime,
+    # the span (a frozenset) of the rows chosen for generators 0..i-1;
+    # chosen[i] is generator i's image.
+    last = [(img,) for img in levels[-1][0]]
+    spans = tuple(frozenset({(0,) * len(pos)}) for _, pos in primes)
+    if len(moduli) == 1:
+        return tuple(itertools.compress(last, kept(0, spans)))
+    found: list[tuple[tuple[int, ...], ...]] = []
+    chosen: list[tuple[int, ...]] = []
+    stack = [(itertools.compress(itertools.count(), kept(0, spans)), spans)]
+    while stack:
+        indices, spans = stack[-1]
+        k = next(indices, None)
+        if k is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        i = len(stack) - 1
+        pool, rows = levels[i]
+        grown = list(spans)
+        for q, r, is_last in rows:
+            if not is_last:
+                p = primes[q][0]
+                grown[q] = frozenset(
+                    tuple((a + c * b) % p for a, b in zip(s, r[k])) for s in spans[q] for c in range(p)
+                )
+        grown = tuple(grown)
+        if i + 2 == len(moduli):
+            prefix = (*chosen, pool[k])
+            found.extend(map(prefix.__add__, itertools.compress(last, kept(i + 1, grown))))
+        else:
+            chosen.append(pool[k])
+            stack.append((itertools.compress(itertools.count(), kept(i + 1, grown)), grown))
     return tuple(found)
 
 
@@ -146,9 +212,10 @@ class EndomorphismTable(Record):
 def enumerate_automorphisms(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[EndomorphismTable]:
     """Every automorphism of G as a generator-image table.
 
-    Enumerates all image tuples that define endomorphisms (image order divides
-    generator order) and keeps those invertible on G/pG for every prime p.
-    Deterministic output order.  Raises CapacityExceeded when |G|^rank
+    Searches the image tuples that define endomorphisms (image order divides
+    generator order) generator by generator, keeping an image only while the
+    chosen images stay independent on G/pG for every prime p, so the tuples
+    found are those invertible on every G/pG.  Lexicographic output order.  Raises CapacityExceeded when |G|^rank
     exceeds the cap.
 
     >>> from .groups import make_group
@@ -167,23 +234,22 @@ def enumerate_automorphisms(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[End
 def is_automorphic_image_bruteforce(
     G: AbelianGroup, x: GroupElement, y: GroupElement, cap: int = DEFAULT_CAP
 ) -> bool:
-    """Decide phi(x) == y for some automorphism by iterating all of Aut(G).
+    """Decide phi(x) == y for some automorphism by searching all of Aut(G).
 
-    The naive baseline: worst case visits every automorphism table.  Raises
-    DimensionMismatch or ForeignElement for an element not of G.
+    The naive baseline: it enumerates every automorphism table, projects the
+    tables onto the generators where x's coordinates are nonzero, and compares
+    y with the image of x under each distinct projection until one matches.
+    Raises DimensionMismatch or ForeignElement for an element not of G.
     """
     check_elements(G, x, y)
-    moduli = G.moduli
-    target = y.coords
-    for images in _raw_automorphisms(moduli, cap):
-        if _apply(x.coords, images, moduli) == target:
-            return True
-    return False
+    return y.coords in _images(x.coords, _raw_automorphisms(G.moduli, cap), G.moduli)
 
 
 def brute_orbits(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[frozenset[GroupElement]]:
-    """Orbit partition of the natural Aut(G)-action, by applying every
-    automorphism to every (not yet placed) element.
+    """Orbit partition of the natural Aut(G)-action.  Each element not yet
+    placed starts an orbit: its images under every automorphism, one per
+    distinct projection of the tables onto its support (the generators where
+    its coordinates are nonzero).
 
     >>> from .groups import make_group
     >>> sorted(len(o) for o in brute_orbits(make_group([4])))
@@ -196,7 +262,7 @@ def brute_orbits(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[frozenset[Grou
     for start in _all_coords(moduli):
         if start in placed:
             continue
-        orbit = {_apply(start, images, moduli) for images in tables}
+        orbit = set(_images(start, tables, moduli))
         placed |= orbit
         orbits.append(frozenset(GroupElement(G, c) for c in orbit))
     return orbits

@@ -169,3 +169,23 @@ def reference_p_group_orbits(
         for forms, sizes in buckets.values()
     ]
     return orbits, list(buckets)
+
+
+def aut_order_hillar_rhea(p: int, exponents) -> int:
+    """|Aut| of the p-group prod_k C_{p^{e_k}} by the closed form of Hillar &
+    Rhea, *Automorphisms of finite abelian groups*, Amer. Math. Monthly 114
+    (2007), Theorem 4.1.  With e_1 <= ... <= e_n, d_k = max{l : e_l = e_k}
+    and c_k = min{l : e_l = e_k} (1-based),
+
+        |Aut| = prod_k (p^{d_k} - p^{k-1})
+                * prod_j (p^{e_j})^{n - d_j} * prod_i (p^{e_i - 1})^{n - c_i + 1}.
+
+    Exponents 0 (trivial factors) are dropped first."""
+    e = sorted(x for x in exponents if x)
+    n = len(e)
+    out = 1
+    for k, ek in enumerate(e, start=1):
+        d = max(l for l in range(1, n + 1) if e[l - 1] == ek)
+        c = min(l for l in range(1, n + 1) if e[l - 1] == ek)
+        out *= (p**d - p ** (k - 1)) * p ** (ek * (n - d)) * p ** ((ek - 1) * (n - c + 1))
+    return out

@@ -159,6 +159,22 @@ def test_orbits_oracle_flag(capsys):
     assert "orbits: 4" in out and "size total: 8" in out
 
 
+def test_orbits_oracle_matches_fast_on_c2_cubed_c4(capsys):
+    # 21,504 automorphisms, the largest search of order 32 within the cap
+    argv = ("orbits", "-g", "2,2,2,4", "--format", "json")
+    code, fast, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, brute, _ = run_cli(capsys, *argv, "--oracle")
+    assert code == 0
+
+    def orbits(out):
+        payload = json.loads(out)
+        rows = sorted((json.dumps(o["quotient"]), o["size"]) for o in payload["orbits"])
+        return payload["orbit_count"], payload["size_total"], rows
+
+    assert orbits(brute) == orbits(fast)
+
+
 def test_quotient_json_round_trip(capsys):
     code, out, _ = run_cli(
         capsys, "quotient", "-g", "6,4", "-x", "3,2", "--format", "json"

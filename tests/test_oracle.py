@@ -1,4 +1,6 @@
 import ast
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from _support import groups_up_to
+from _support import aut_order_hillar_rhea, cyclic_presentations, groups_up_to
 from autorbit import oracle
+from autorbit.arith import factorize
 from autorbit.errors import CapacityExceeded
 from autorbit.groups import make_group
 from autorbit.oracle import (
@@ -43,6 +46,109 @@ def test_aut_order_homocyclic_trivial_case():
     assert aut_order_homocyclic(2, 1, 1) == 1
     with pytest.raises(ValueError):
         aut_order_homocyclic(2, 0, 1)
+
+
+def _invertible_mod(p, rows):
+    """Is the square matrix with these rows invertible over F_p?  Gaussian
+    elimination, in place."""
+    n = len(rows)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c] % p), None)
+        if pivot is None:
+            return False
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        u = pow(rows[c][c], -1, p)
+        for r in range(c + 1, n):
+            if f := rows[r][c] * u % p:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[c])]
+    return True
+
+
+def _reference_raw_automorphisms(moduli, cap=oracle.DEFAULT_CAP):
+    """The search the depth-first one replaced: every tuple of the product of
+    the image pools, kept when each G/pG matrix is invertible."""
+    positions = {}
+    for i, d in enumerate(moduli):
+        for p in factorize(d):
+            positions.setdefault(p, []).append(i)
+    rank = max(map(len, positions.values()), default=0)
+    if math.prod(moduli) ** rank > cap:
+        raise CapacityExceeded(f"{moduli} over cap {cap}")
+    pools = [
+        list(itertools.product(*(range(0, e, e // math.gcd(d, e)) for e in moduli)))
+        for d in moduli
+    ]
+    return tuple(
+        candidate
+        for candidate in itertools.product(*pools)
+        if all(
+            _invertible_mod(p, [[candidate[i][j] % p for j in pos] for i in pos])
+            for p, pos in positions.items()
+        )
+    )
+
+
+# presentations with trivial factors padded in, or with several primes merged
+# into one modulus, or out of ascending order
+IRREGULAR_PRESENTATIONS = [
+    (1,), (1, 1), (2, 2, 2, 1, 2), (1, 3, 3, 3), (2, 3, 2, 2), (3, 1, 6),
+    (6, 1, 2, 2), (4, 2), (8, 2, 4), (2, 4, 2), (9, 3), (10, 2), (15, 2),
+]
+
+
+def test_depth_first_search_matches_product_filter():
+    # same tuples in the same order: enumerate_automorphisms(G)[i] indexes
+    # (test_groups, test_equivalence) depend on it
+    presentations = {tuple(G.moduli) for G in groups_up_to(32)}
+    for n in range(1, 33):
+        presentations.update(cyclic_presentations(n))
+    presentations.update(IRREGULAR_PRESENTATIONS)
+    searched = 0
+    for moduli in sorted(presentations):
+        try:
+            expected = _reference_raw_automorphisms(moduli)
+        except CapacityExceeded:
+            with pytest.raises(CapacityExceeded):
+                oracle._raw_automorphisms(moduli, oracle.DEFAULT_CAP)
+            continue
+        assert oracle._raw_automorphisms(moduli, oracle.DEFAULT_CAP) == expected, moduli
+        searched += 1
+    assert searched == len(presentations) - 1  # only C2^5 is over the cap
+
+
+def test_aut_order_matches_hillar_rhea():
+    # every group of order <= 64 within the cap: a p-group against the closed
+    # form, a mixed group against the product of its primes' closed forms
+    p_groups = mixed = 0
+    for G in groups_up_to(64):
+        if G.order**G.rank > oracle.DEFAULT_CAP:
+            continue
+        expected = math.prod(aut_order_hillar_rhea(p, G.primary_exponents(p)) for p in G.primes())
+        assert len(oracle._raw_automorphisms(G.moduli, oracle.DEFAULT_CAP)) == expected, G
+        if len(G.primes()) == 1:
+            p_groups += 1
+        elif len(G.primes()) > 1:
+            mixed += 1
+    assert p_groups >= 40 and mixed >= 40
+    for moduli in [(6, 4), (12, 2, 3), (2, 6, 3), (10, 6)]:
+        G = make_group(moduli)
+        expected = math.prod(aut_order_hillar_rhea(p, G.primary_exponents(p)) for p in G.primes())
+        assert len(enumerate_automorphisms(G)) == expected, moduli
+
+
+def test_hillar_rhea_matches_homocyclic_closed_form():
+    for p, m, n in itertools.product((2, 3, 5), (1, 2, 3), (1, 2, 3)):
+        assert aut_order_hillar_rhea(p, (m,) * n) == aut_order_homocyclic(p, m, n)
+
+
+@pytest.mark.parametrize("moduli", [(4, 4), (2, 6, 3), (2, 1, 2, 2), (3, 1, 3), (8, 4, 2)])
+def test_support_projection_matches_every_table(moduli):
+    # an element's images from the distinct projections of the tables onto
+    # its support are its images under every table
+    tables = oracle._raw_automorphisms(moduli, oracle.DEFAULT_CAP)
+    for x in make_group(moduli).elements():
+        expected = {oracle._apply(x.coords, images, moduli) for images in tables}
+        assert set(oracle._images(x.coords, tables, moduli)) == expected, x
 
 
 def test_aut_lower_bound_exponential_in_rank():

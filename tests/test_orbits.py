@@ -17,7 +17,7 @@ from autorbit.equivalence import are_automorphic, quotient_key
 from autorbit.errors import CapacityExceeded, DimensionMismatch, InvalidValuation
 from autorbit.fastquot import canonical_points, p_group_quotient
 from autorbit.groups import make_group
-from autorbit.oracle import brute_orbits
+from autorbit.oracle import brute_orbits, brute_quotient_keys
 from autorbit.orbits import (
     CensusRow,
     OrbitSummary,
@@ -204,6 +204,23 @@ def test_matches_brute_partition():
         assert {frozenset(v) for v in ours.values()} == brute, G
         for i, s in enumerate(summaries):
             assert len(ours[i]) == s.size
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 4), (4, 4, 4)])
+def test_brute_orbits_match_keys_and_sizes(moduli):
+    # the oracle's two largest searches within the default cap at |G| <= 64
+    # (21,504 and 86,016 automorphisms): each brute-force orbit holds one
+    # brute-force quotient key, and the (key, size) pairs are enumerate_orbits'
+    G = make_group(moduli)
+    keys = brute_quotient_keys(G)
+    brute = {}
+    for orbit in brute_orbits(G):
+        found = {keys[e.coords] for e in orbit}
+        assert len(found) == 1, orbit
+        brute[found.pop()] = len(orbit)
+    summaries = enumerate_orbits(G)
+    assert len(brute) == len(summaries)
+    assert brute == {s.quotient_key: s.size for s in summaries}
 
 
 def test_consistent_with_pairwise_equivalence():
