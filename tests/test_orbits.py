@@ -208,9 +208,10 @@ def test_matches_brute_partition():
 
 @pytest.mark.parametrize("moduli", [(2, 2, 2, 4), (4, 4, 4)])
 def test_brute_orbits_match_keys_and_sizes(moduli):
-    # the oracle's two largest searches within the default cap at |G| <= 64
-    # (21,504 and 86,016 automorphisms): each brute-force orbit holds one
-    # brute-force quotient key, and the (key, size) pairs are enumerate_orbits'
+    # C2^3 x C4 (21,504 automorphisms, the most of any order-32 class within
+    # the default cap) and C4^3 (86,016, the most at |G| <= 64): each
+    # brute-force orbit holds one brute-force quotient key, and the
+    # (key, size) pairs are enumerate_orbits'
     G = make_group(moduli)
     keys = brute_quotient_keys(G)
     brute = {}
