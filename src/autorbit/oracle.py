@@ -3,16 +3,17 @@ and quotient identification by torsion counts.
 
 Everything here works by direct enumeration over group elements, with no
 Smith normal form and no valuation sweeps, so it is an independent check of
-the production paths.  Aut(G) is found by a depth-first search over the
-generators' images that keeps an image only while the rows chosen so far stay
-independent mod every prime (the Burnside basis theorem).  An element's orbit
-is its images under those tables; since an image depends only on the
-generators where the element's coordinates are nonzero, each distinct
-projection of the tables onto that support is applied once.  It is
-desk-scale machinery: every entry point enforces a capacity cap and raises
-CapacityExceeded beyond it.  It is first-class (exposed on the CLI), not
-test-only code, since the naive iterate-over-Aut(G) decision procedure is
-itself a baseline worth comparing against.
+the production paths.  Aut(G) is found by a depth-first search, a plain
+recursion over the generators' images, that keeps an image only while the
+rows chosen so far stay independent mod every prime (the Burnside basis
+theorem).  An element's orbit is its images under those tables; since an
+image depends only on the generators where the element's coordinates are
+nonzero, each distinct projection of the tables onto that support is applied
+once.  The decision answers elements of different orders without applying
+any table.  It is desk-scale machinery: every entry point enforces a capacity
+cap and raises CapacityExceeded beyond it.  It is first-class (exposed on the
+CLI), not test-only code, since the naive iterate-over-Aut(G) decision
+procedure is itself a baseline worth comparing against.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from typing import Iterator
 
 from .arith import factorize
 from .errors import CapacityExceeded
-from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, Record, check_elements
+from .groups import (
+    AbelianGroup, CanonicalGroupKey, GroupElement, Record, check_elements, element_order
+)
 
 DEFAULT_CAP = 10_000_000
 
@@ -100,6 +103,27 @@ def _images(coords, tables, moduli) -> Iterator[tuple[int, ...]]:
     return (_apply(nonzero, images, moduli) for images in projected)
 
 
+def _extend(found, levels, i, prefix, spans) -> None:
+    """Append to found, in lexicographic order, every automorphism that starts
+    with prefix, the images of the generators before level i.  spans holds,
+    per prime, the F_p-span of the rows prefix gives that prime."""
+    pool, rows = levels[i]
+    # is each pool image's row outside the span, for every prime at level i
+    inside = zip(*(map(spans[q].__contains__, r) for q, _, r, _ in rows))
+    outside = map(operator.not_, map(any, inside))
+    if i + 1 == len(levels):
+        found.extend(map(prefix.__add__, itertools.compress(pool, outside)))
+        return
+    for k in itertools.compress(itertools.count(), outside):
+        grown = list(spans)
+        for q, p, r, is_last in rows:
+            if not is_last:
+                grown[q] = frozenset(
+                    tuple((a + c * b) % p for a, b in zip(s, r[k])) for s in spans[q] for c in range(p)
+                )
+        _extend(found, levels, i + 1, prefix + pool[k], grown)
+
+
 @lru_cache(maxsize=8)
 def _raw_automorphisms(moduli: tuple[int, ...], cap: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All automorphisms as tuples of generator images (raw coordinate tuples),
@@ -122,74 +146,42 @@ def _raw_automorphisms(moduli: tuple[int, ...], cap: int) -> tuple[tuple[tuple[i
     # elements, at most |G_p| per prime p dividing d_i.  Each prime divides at
     # most `rank` of the moduli, so the candidate tuples number at most
     # prod_p |G_p|^rank = order**rank, which the cap check above already bounds.
-    if not moduli:
-        return ((),)
+    #
     # By the Burnside basis theorem an endomorphism is bijective exactly when,
     # for each prime p, the map it induces on G/pG = F_p^{r_p} is: when the
     # images' coordinates mod p over p's positions, one row per generator at
     # those positions, are independent.  So the search fixes the images one
     # generator at a time and keeps a pool image only when each of its rows
     # lies outside the F_p-span of the rows of the same prime chosen before.
-    # levels[i] is generator i's pool, in lexicographic order, with one entry
-    # per prime at position i: (prime index, each image's row mod p, whether i
-    # is p's last position, after which p's span is never read).
+    # A level is a generator of modulus above 1: its pool, in lexicographic
+    # order, and one entry per prime at its position: (prime index, p, each
+    # image's row mod p, whether i is p's last position, after which p's span
+    # is never read).  A generator of modulus 1 has the one image 0, carried
+    # in the pool entries of the next level (of the last when none follows),
+    # so the recursion depth, the number of moduli above 1, is at most log2(cap).
     primes = list(positions.items())
+    zero = (0,) * len(moduli)
     levels = []
+    pad: tuple[tuple[int, ...], ...] = ()
     for i, d in enumerate(moduli):
+        if d == 1:
+            pad += (zero,)
+            continue
         pool = list(itertools.product(*(range(0, e, e // math.gcd(d, e)) for e in moduli)))
         rows = [
-            (q, [tuple(img[j] % p for j in pos) for img in pool], pos[-1] == i)
+            (q, p, [tuple(img[j] % p for j in pos) for img in pool], pos[-1] == i)
             for q, (p, pos) in enumerate(primes)
             if i in pos
         ]
-        levels.append((pool, rows))
-
-    def kept(i, spans):
-        """Selectors over generator i's pool: is each image's row outside the
-        span for every prime at position i."""
-        pool, rows = levels[i]
-        if not rows:
-            return itertools.repeat(True, len(pool))
-        inside = zip(*(map(spans[q].__contains__, r) for q, r, _ in rows))
-        return map(operator.not_, map(any, inside))
-
-    # Depth-first with an explicit stack over generators 0..n-2, so the
-    # survivors come out in the lexicographic order of the full product; the
-    # last generator's kept images are appended to the prefix in one pass.
-    # Entry i holds the indices of generator i's kept images and, per prime,
-    # the span (a frozenset) of the rows chosen for generators 0..i-1;
-    # chosen[i] is generator i's image.
-    last = [(img,) for img in levels[-1][0]]
-    spans = tuple(frozenset({(0,) * len(pos)}) for _, pos in primes)
-    if len(moduli) == 1:
-        return tuple(itertools.compress(last, kept(0, spans)))
+        levels.append(([(*pad, img) for img in pool], rows))
+        pad = ()
+    if not levels:
+        return (pad,)
+    if pad:
+        pool, rows = levels[-1]
+        levels[-1] = ([entry + pad for entry in pool], rows)
     found: list[tuple[tuple[int, ...], ...]] = []
-    chosen: list[tuple[int, ...]] = []
-    stack = [(itertools.compress(itertools.count(), kept(0, spans)), spans)]
-    while stack:
-        indices, spans = stack[-1]
-        k = next(indices, None)
-        if k is None:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        i = len(stack) - 1
-        pool, rows = levels[i]
-        grown = list(spans)
-        for q, r, is_last in rows:
-            if not is_last:
-                p = primes[q][0]
-                grown[q] = frozenset(
-                    tuple((a + c * b) % p for a, b in zip(s, r[k])) for s in spans[q] for c in range(p)
-                )
-        grown = tuple(grown)
-        if i + 2 == len(moduli):
-            prefix = (*chosen, pool[k])
-            found.extend(map(prefix.__add__, itertools.compress(last, kept(i + 1, grown))))
-        else:
-            chosen.append(pool[k])
-            stack.append((itertools.compress(itertools.count(), kept(i + 1, grown)), grown))
+    _extend(found, levels, 0, (), [frozenset({(0,) * len(pos)}) for _, pos in primes])
     return tuple(found)
 
 
@@ -215,8 +207,8 @@ def enumerate_automorphisms(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[End
     Searches the image tuples that define endomorphisms (image order divides
     generator order) generator by generator, keeping an image only while the
     chosen images stay independent on G/pG for every prime p, so the tuples
-    found are those invertible on every G/pG.  Lexicographic output order.  Raises CapacityExceeded when |G|^rank
-    exceeds the cap.
+    found are those invertible on every G/pG.  Lexicographic output order.
+    Raises CapacityExceeded when |G|^rank exceeds the cap.
 
     >>> from .groups import make_group
     >>> len(enumerate_automorphisms(make_group([4])))
@@ -239,10 +231,15 @@ def is_automorphic_image_bruteforce(
     The naive baseline: it enumerates every automorphism table, projects the
     tables onto the generators where x's coordinates are nonzero, and compares
     y with the image of x under each distinct projection until one matches.
+    Elements of different orders are answered without applying any table, but
+    only after the tables are fetched, so the cap applies to every pair.
     Raises DimensionMismatch or ForeignElement for an element not of G.
     """
     check_elements(G, x, y)
-    return y.coords in _images(x.coords, _raw_automorphisms(G.moduli, cap), G.moduli)
+    tables = _raw_automorphisms(G.moduli, cap)
+    if element_order(x) != element_order(y):
+        return False
+    return y.coords in _images(x.coords, tables, G.moduli)
 
 
 def brute_orbits(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[frozenset[GroupElement]]:

@@ -22,9 +22,12 @@ each orbit's forms, in odometer order, as one Cartesian product of the
 per-position ranges [bound, e_i]: a block of multiplicity 1 on A is pinned to
 its point, and a larger block on A keeps the forms in which some coordinate
 of the block equals a.  Each orbit's quotient key comes from one valuation
-sweep of its first form.  Orbits of the whole group are Cartesian products of
-per-prime orbits, with multiplying sizes and concatenated quotient keys.
+sweep of its first form.
 
+Orbits of the whole group are Cartesian products of per-prime orbits, made
+by one join (_join) for all three entry points: sizes and form counts
+multiply, quotient key parts concatenate, and each per-prime orbit adds its
+payload, the first form for the census or the form list for enumeration.
 Each form is written once.  Per prime, the product yields a form as the pair
 (p, (b_1, ..., b_n)); a combined form's parts are one tuple of such pairs, one
 per prime, taken straight from the Cartesian product of the per-prime pair
@@ -32,9 +35,9 @@ lists.  No per-prime ReducedForm is built: each orbit's ReducedForm records
 are made in one bulk call (Record._many) from its exact form count, so no
 form passes through Record.__init__.
 
-enumerate_orbits is capped (default 10**7 combined reduced forms) and
-orbit_census by the number of orbits, which it counts before building them;
-both fail loudly with CapacityExceeded rather than hang.
+enumerate_orbits and p_group_orbits are capped (default 10**7 reduced forms)
+and orbit_census by the number of orbits, which it counts before building
+them; one check fails loudly with CapacityExceeded rather than hang.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import math
 import operator
 from itertools import compress, product, repeat, tee
 from operator import contains, itemgetter, mul, sub
+from typing import Iterator
 
 from .arith import crt, is_prime
 from .errors import CapacityExceeded, DimensionMismatch, InvalidValuation
@@ -181,10 +185,13 @@ def _antichains(es: list[int]) -> list[tuple[list[int], list[tuple[int, int]]]]:
     return out
 
 
-def _p_census(p: int, blocks: tuple[list[int], list[int], list[int]]) -> list:
-    """The orbits of the p-group with these blocks (from _blocks), by first
-    form: per orbit (first form, bounds, points, size, form count), with
-    bounds and points as from _antichains."""
+def _p_census(
+    p: int, exponents: tuple[int, ...], blocks: tuple[list[int], list[int], list[int]]
+) -> list:
+    """The orbits of the p-group with these component exponents and blocks
+    (from _blocks), by first form: per orbit (quotient key parts, size, form
+    count, first form, bounds, points), with bounds and points as from
+    _antichains.  Each key comes from one valuation sweep of the first form."""
     es, ms, block_of = blocks
     spans = [e + 1 for e in es]
     rows = []
@@ -200,29 +207,29 @@ def _p_census(p: int, blocks: tuple[list[int], list[int], list[int]]) -> list:
             size *= p**m - 1
             count = count // whole * (whole - (es[j] - a) ** m)
         first = tuple(map(bounds.__getitem__, block_of))
-        rows.append((first, bounds, points, size * p**shift, count))
-    rows.sort(key=itemgetter(0))
+        parts = CanonicalGroupKey.from_map({p: p_group_quotient(first, exponents)}).parts
+        rows.append((parts, size * p**shift, count, first, bounds, points))
+    rows.sort(key=itemgetter(3))
     return rows
 
 
-def _check_cap(cap: int) -> None:
+def _check_cap(cap: int, counts, what: str) -> None:
+    """ValueError for a cap below 1, then CapacityExceeded as soon as the
+    running product of the lazily read counts of `what` passes the cap."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    total = 1
+    for n in counts:
+        total *= n
+        if total > cap:
+            raise CapacityExceeded(f"{total}+ {what} exceed cap {cap}")
 
 
-def _p_orbits(p: int, exponents: tuple[int, ...], cap: int) -> list:
+def _p_orbits(p: int, exponents: tuple[int, ...]) -> list:
     """The orbits of the p-group with these component exponents, by first
-    form: per orbit (quotient exponents, size, form count, pairs), where
-    pairs iterates over the orbit's forms in odometer order, each as the
-    pair (p, (b_1, ..., b_n)).  Validates as p_group_orbits does."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if any(e < 1 for e in exponents):
-        raise ValueError("component exponents must be >= 1")
-    _check_cap(cap)
-    total = math.prod(e + 1 for e in exponents)
-    if total > cap:
-        raise CapacityExceeded(f"{total} reduced forms exceed cap {cap}")
+    form: per orbit (quotient key parts, size, form count, pairs), where
+    pairs lists the orbit's forms in odometer order, each as the pair
+    (p, (b_1, ..., b_n)).  The caller validates p, exponents and cap."""
     es, ms, block_of = blocks = _blocks(exponents)
     spans = [e + 1 for e in es]
     # a block of two or more positions reads its coordinates in one call
@@ -231,7 +238,7 @@ def _p_orbits(p: int, exponents: tuple[int, ...], cap: int) -> list:
         if m > 1:
             getters[j] = itemgetter(*(i for i, b in enumerate(block_of) if b == j))
     out = []
-    for first, bounds, points, size, count in _p_census(p, blocks):
+    for parts, size, count, _, bounds, points in _p_census(p, exponents, blocks):
         ranges = list(map(range, bounds, spans))
         wanted = []
         for j, a in points:
@@ -244,8 +251,33 @@ def _p_orbits(p: int, exponents: tuple[int, ...], cap: int) -> list:
             # tee holds only the candidate compress is reading, not them all
             forms, candidates = tee(forms)
             forms = compress(forms, map(contains, map(get, candidates), repeat(a)))
-        out.append((p_group_quotient(first, exponents), size, count, zip(repeat(p), forms)))
+        out.append((parts, size, count, list(zip(repeat(p), forms))))
     return out
+
+
+def _join(per_prime: list[list]) -> Iterator:
+    """Per combination of one row (key parts, size, form count, payload) per
+    prime, in product order: its quotient key, size, form count and the tuple
+    of its payloads.  Primes ascend, so the joined key parts are canonical."""
+    key_of, size_of, count_of, payload_of = map(itemgetter, range(4))
+    return (
+        (
+            CanonicalGroupKey(sum(map(key_of, combo), ())),
+            math.prod(map(size_of, combo)),
+            math.prod(map(count_of, combo)),
+            tuple(map(payload_of, combo)),
+        )
+        for combo in product(*per_prime)
+    )
+
+
+def _summaries(per_prime: list[list]) -> list[OrbitSummary]:
+    """OrbitSummary records from per-prime _p_orbits lists; each orbit's
+    forms, the product of its pair lists, are made in one bulk call."""
+    return [
+        OrbitSummary(key, ReducedForm._many(product(*pair_lists), count), size)
+        for key, size, count, pair_lists in _join(per_prime)
+    ]
 
 
 def p_group_orbits(
@@ -263,12 +295,12 @@ def p_group_orbits(
     >>> [(o.quotient_key.describe_invariant(), o.size) for o in p_group_orbits(2, (2,))]
     [('C1', 2), ('C2', 1), ('C4', 1)]
     """
-    return [
-        OrbitSummary(
-            CanonicalGroupKey.from_map({p: quotient}), ReducedForm._many(zip(pairs), count), size
-        )
-        for quotient, size, count, pairs in _p_orbits(p, exponents, cap)
-    ]
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if any(e < 1 for e in exponents):
+        raise ValueError("component exponents must be >= 1")
+    _check_cap(cap, (e + 1 for e in exponents), "reduced forms")
+    return _summaries([_p_orbits(p, exponents)])
 
 
 def orbit_census(G: AbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[CensusRow]:
@@ -284,29 +316,18 @@ def orbit_census(G: AbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Ce
     >>> [(r.quotient_key.describe_invariant(), r.form_count, r.size) for r in orbit_census(make_group([4, 4]))]
     [('C4', 5, 12), ('C2 x C4', 3, 3), ('C4 x C4', 1, 1)]
     """
-    _check_cap(cap)
-    per_prime = []
-    count = 1
-    for p in G.primes():
-        exponents = G.primary_exponents(p)
-        blocks = _blocks(exponents)
-        count *= _count_antichains(blocks[0], cap // count)
-        if count > cap:
-            raise CapacityExceeded(f"{count}+ orbits exceed cap {cap}")
-        per_prime.append(
-            [
-                ((p, p_group_quotient(first, exponents)), (p, first), forms, size)
-                for first, _, _, size, forms in _p_census(p, blocks)
-            ]
-        )
+    primes = G.primes()
+    exponents = list(map(G.primary_exponents, primes))
+    blocks = list(map(_blocks, exponents))
+    # the orbits are counted before any is built
+    _check_cap(cap, (_count_antichains(es, cap) for es, _, _ in blocks), "orbits")
+    per_prime = [
+        [(parts, size, count, (p, first)) for parts, size, count, first, *_ in _p_census(p, exps, b)]
+        for p, exps, b in zip(primes, exponents, blocks)
+    ]
     return [
-        CensusRow(
-            CanonicalGroupKey.from_map(dict(key for key, _, _, _ in combo)),
-            ReducedForm(tuple(first for _, first, _, _ in combo)),
-            math.prod(forms for _, _, forms, _ in combo),
-            math.prod(size for _, _, _, size in combo),
-        )
-        for combo in product(*per_prime)
+        CensusRow(key, ReducedForm(firsts), count, size)
+        for key, size, count, firsts in _join(per_prime)
     ]
 
 
@@ -324,31 +345,9 @@ def enumerate_orbits(
     >>> [(o.quotient_key.describe_invariant(), o.size) for o in enumerate_orbits(make_group([6]))]
     [('C1', 2), ('C3', 1), ('C2', 2), ('C6', 1)]
     """
-    _check_cap(cap)
     primes = G.primes()
-    total_forms = 1
-    for p in primes:
-        total_forms *= math.prod(e + 1 for e in G.primary_exponents(p))
-        if total_forms > cap:
-            raise CapacityExceeded(f"{total_forms}+ reduced forms exceed cap {cap}")
+    exponents = list(map(G.primary_exponents, primes))
+    _check_cap(cap, (e + 1 for exps in exponents for e in exps), "reduced forms")
     if len(primes) == 1:
-        return p_group_orbits(primes[0], G.primary_exponents(primes[0]), cap)
-    # Per prime and orbit: (key parts, size, form count, list of (p, bs) pairs).
-    per_prime = [
-        [
-            (CanonicalGroupKey.from_map({p: quotient}).parts, size, count, list(pairs))
-            for quotient, size, count, pairs in _p_orbits(p, G.primary_exponents(p), cap)
-        ]
-        for p in primes
-    ]
-    # Primes ascend and are disjoint, so the concatenated key parts are
-    # canonical, and each tuple of per-prime pairs is a combined form's parts.
-    key_of, size_of, count_of, pairs_of = map(itemgetter, range(4))
-    return [
-        OrbitSummary(
-            CanonicalGroupKey(sum(map(key_of, combo), ())),
-            ReducedForm._many(product(*map(pairs_of, combo)), math.prod(map(count_of, combo))),
-            math.prod(map(size_of, combo)),
-        )
-        for combo in product(*per_prime)
-    ]
+        return p_group_orbits(primes[0], exponents[0], cap)
+    return _summaries(list(map(_p_orbits, primes, exponents)))

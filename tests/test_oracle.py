@@ -1,4 +1,5 @@
 import ast
+import gc
 import itertools
 import math
 import os
@@ -114,6 +115,29 @@ def test_depth_first_search_matches_product_filter():
         assert oracle._raw_automorphisms(moduli, oracle.DEFAULT_CAP) == expected, moduli
         searched += 1
     assert searched == len(presentations) - 1  # only C2^5 is over the cap
+
+
+def test_trivial_generators_do_not_deepen_the_search():
+    # a modulus-1 generator's only image is 0; 1800 of them, before, between
+    # and after the others, must not run the search into the recursion limit
+    moduli = (1,) * 600 + (2,) + (1,) * 600 + (3,) + (1,) * 600
+    assert oracle._raw_automorphisms(moduli, oracle.DEFAULT_CAP) == _reference_raw_automorphisms(moduli)
+    assert oracle._raw_automorphisms((1,) * 1500, oracle.DEFAULT_CAP) == (((0,) * 1500,) * 1500,)
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # a search whose frames reached themselves through a reference cycle
+    # would keep every table it found alive until the next collection
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for moduli in [(2, 2, 2, 4), (4, 4, 4), (2, 6, 3), (5,), ()]:
+            oracle._raw_automorphisms.__wrapped__(moduli, oracle.DEFAULT_CAP)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_aut_order_matches_hillar_rhea():
@@ -240,6 +264,27 @@ def test_bruteforce_image_decision():
     assert not is_automorphic_image_bruteforce(
         G2, G2.element([1, 0]), G2.element([0, 2])
     )
+
+
+def test_bruteforce_decision_compares_orders_first(monkeypatch):
+    # x has order 4 and y order 2, so no table is applied; the search for
+    # the tables still runs, so the cap still applies
+    G = make_group([2, 2, 2, 4])
+    x, y = G.element([1, 1, 1, 1]), G.element([1, 0, 0, 2])
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return apply(*args)
+
+    apply = oracle._apply
+    monkeypatch.setattr(oracle, "_apply", counting)
+    assert not is_automorphic_image_bruteforce(G, x, y)
+    assert len(calls) == 0
+    with pytest.raises(CapacityExceeded):
+        is_automorphic_image_bruteforce(G, x, y, cap=1000)
+    assert is_automorphic_image_bruteforce(G, x, G.element([1, 1, 0, 3]))
+    assert len(calls) > 0
 
 
 def test_capacity_cap():
