@@ -179,15 +179,15 @@ def factorize(
 
 
 def nu(p: int, m: int) -> int:
-    """p-adic valuation: the largest k with p**k dividing m (m >= 1).
+    """p-adic valuation: the largest k with p**k dividing m (p >= 2, m >= 1).
 
     >>> nu(2, 8)
     3
     >>> nu(3, 8)
     0
     """
-    if m < 1:
-        raise ValueError(f"nu requires m >= 1, got {m}")
+    if m < 1 or p < 2:
+        raise ValueError(f"nu requires p >= 2 and m >= 1, got p={p}, m={m}")
     k = 0
     while m % p == 0:
         m //= p

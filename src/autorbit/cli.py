@@ -17,6 +17,8 @@ import sys
 
 from . import oracle
 from .arith import factorize
+# are_automorphic is unused here; perfbench/spans.py::BINDINGS traces it under
+# cli, and test_oracle_route_never_calls_the_fast_path stubs it out.
 from .equivalence import are_automorphic, quotient_key
 from .errors import (
     CapacityExceeded,
@@ -107,8 +109,9 @@ def cmd_autoeq(args: argparse.Namespace) -> int:
         kx, ky = (oracle.brute_quotient_key(G, z, cap=args.cap) for z in (x, y))
         equivalent = oracle.is_automorphic_image_bruteforce(G, x, y, cap=args.cap)
     else:
+        # x and y are automorphic exactly when G/<x> and G/<y> are isomorphic
         kx, ky = quotient_key(G, x), quotient_key(G, y)
-        equivalent = are_automorphic(G, x, y)
+        equivalent = kx == ky
     if args.format == "json":
         payload = {
             "group": [str(d) for d in G.moduli],

@@ -8,7 +8,10 @@ when f' <= f and e' - f' >= e - f (Dutta and Prasad; fastquot.canonical_points
 computes them for one form).  So each orbit is named by an antichain, and the
 antichains are enumerated directly.  The components of equal exponent e form
 a block of multiplicity m; an antichain takes at most one point (a, e) per
-block, with a < e, and a, e and e - a strictly increasing along it.
+block, with a < e, and a, e and e - a strictly increasing along it.  The
+count of the antichains (_count_from) and the walk over them (_antichains)
+are module-level recursions that are passed their state, like the oracle's
+Aut(G) search, so a call leaves no reference cycle behind.
 
 For an antichain A, a block on A has least valuation exactly a, and every
 valuation of any other block is at least
@@ -46,7 +49,7 @@ import math
 import operator
 from itertools import compress, product, repeat, tee
 from operator import contains, itemgetter, mul, sub
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arith import crt, is_prime
 from .errors import CapacityExceeded, DimensionMismatch, InvalidValuation
@@ -131,11 +134,28 @@ def _blocks(exponents: tuple[int, ...]) -> tuple[list[int], list[int], list[int]
     return es, list(map(block_of.count, range(len(es)))), block_of
 
 
+def _count_from(es, limit, memo, j0, a0, gap0) -> int:
+    """How many antichains extend one ending in (a0, e0), gap0 = e0 - a0, by
+    the blocks j0.. of es, or some number above limit when there are more.
+    A subtree's count depends only on where it starts, so memo keeps each
+    start's count."""
+    n = memo.get((j0, a0, gap0))
+    if n is None:
+        n = 1
+        for j in range(j0, len(es)):
+            e = es[j]
+            for a in range(a0 + 1, e - gap0):
+                if n > limit:
+                    break
+                n += _count_from(es, limit, memo, j + 1, a, e - a)
+        memo[j0, a0, gap0] = n
+    return n
+
+
 def _count_antichains(es: list[int], limit: int) -> int:
-    """How many antichains _antichains(es) gives, or some number above limit
+    """How many antichains _antichains gives for es, or some number above limit
     when there are more, so that a census too large for its cap fails before
-    it is built.  A subtree's count depends only on where it starts, so each
-    start is counted once."""
+    it is built."""
     # Every subset of an antichain is one, so an antichain of L points means
     # at least 2^L of them.  Points of exponents at least 2 apart can always
     # be chained (a rises by 1 per point), so the greedy pick is a longest
@@ -146,42 +166,24 @@ def _count_antichains(es: list[int], limit: int) -> int:
             longest, last = longest + 1, e
     if 2**longest > limit:
         return 2**longest
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def count_from(j0: int, a0: int, gap0: int) -> int:
-        # the antichains that extend one ending in (a0, e0), gap0 = e0 - a0, by blocks j0..
-        n = memo.get((j0, a0, gap0))
-        if n is None:
-            n = 1
-            for j in range(j0, len(es)):
-                e = es[j]
-                for a in range(a0 + 1, e - gap0):
-                    if n > limit:
-                        break
-                    n += count_from(j + 1, a, e - a)
-            memo[j0, a0, gap0] = n
-        return n
-
-    return count_from(0, -1, 0)
+    return _count_from(es, limit, {}, 0, -1, 0)
 
 
-def _antichains(es: list[int]) -> list[tuple[list[int], list[tuple[int, int]]]]:
-    """Every antichain over the blocks of distinct exponents ``es``
-    (ascending), as (bounds, points): the least valuation each block takes
-    in the antichain's orbit, and the antichain's points (block index, a) by
-    block."""
-    out: list[tuple[list[int], list[tuple[int, int]]]] = []
-
-    def extend(j0: int, a0: int, gap0: int, bounds: list[int], points: list) -> None:
-        # the last point is (a0, e0) with gap0 = e0 - a0; blocks j0.. lie above it
-        out.append((bounds + [e - gap0 for e in es[j0:]], points))
-        for j in range(j0, len(es)):
-            e = es[j]
-            for a in range(a0 + 1, e - gap0):
-                skipped = [min(a, b - gap0) for b in es[j0:j]]
-                extend(j + 1, a, e - a, bounds + skipped + [a], points + [(j, a)])
-
-    extend(0, -1, 0, [], [])
+def _antichains(out, es, j0, a0, gap0, bounds, points) -> list:
+    """Append to out, and return it, every antichain over the blocks of
+    distinct exponents ``es`` (ascending) that extends points by the blocks
+    j0.., as (bounds, points): the least valuation each block takes in the
+    antichain's orbit, and the antichain's points (block index, a) by block.
+    The last point of points is (a0, e0) with gap0 = e0 - a0, and the list
+    bounds holds the least valuations of the blocks before j0 (a list, since
+    _p_census maps bounds.__getitem__ over every position, and a tuple's
+    __getitem__ is the slower call)."""
+    out.append((bounds + [e - gap0 for e in es[j0:]], points))
+    for j in range(j0, len(es)):
+        e = es[j]
+        for a in range(a0 + 1, e - gap0):
+            skipped = [min(a, b - gap0) for b in es[j0:j]]
+            _antichains(out, es, j + 1, a, e - a, bounds + skipped + [a], points + ((j, a),))
     return out
 
 
@@ -190,12 +192,12 @@ def _p_census(
 ) -> list:
     """The orbits of the p-group with these component exponents and blocks
     (from _blocks), by first form: per orbit (quotient key parts, size, form
-    count, first form, bounds, points), with bounds and points as from
+    count, (p, first form), bounds, points), with bounds and points as from
     _antichains.  Each key comes from one valuation sweep of the first form."""
     es, ms, block_of = blocks
     spans = [e + 1 for e in es]
     rows = []
-    for bounds, points in _antichains(es):
+    for bounds, points in _antichains([], es, 0, -1, 0, [], ()):
         shift = sum(map(mul, ms, map(sub, es, bounds)))
         size = 1
         count = math.prod(map(pow, map(sub, spans, bounds), ms))
@@ -208,7 +210,7 @@ def _p_census(
             count = count // whole * (whole - (es[j] - a) ** m)
         first = tuple(map(bounds.__getitem__, block_of))
         parts = CanonicalGroupKey.from_map({p: p_group_quotient(first, exponents)}).parts
-        rows.append((parts, size * p**shift, count, first, bounds, points))
+        rows.append((parts, size * p**shift, count, (p, first), bounds, points))
     rows.sort(key=itemgetter(3))
     return rows
 
@@ -255,10 +257,11 @@ def _p_orbits(p: int, exponents: tuple[int, ...]) -> list:
     return out
 
 
-def _join(per_prime: list[list]) -> Iterator:
-    """Per combination of one row (key parts, size, form count, payload) per
-    prime, in product order: its quotient key, size, form count and the tuple
-    of its payloads.  Primes ascend, so the joined key parts are canonical."""
+def _join(per_prime: Iterable[list]) -> Iterator:
+    """Per combination of one row per prime, each row starting (key parts,
+    size, form count, payload), in product order: its quotient key, size, form
+    count and the tuple of its payloads.  Primes ascend, so the joined key
+    parts are canonical."""
     key_of, size_of, count_of, payload_of = map(itemgetter, range(4))
     return (
         (
@@ -321,13 +324,9 @@ def orbit_census(G: AbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Ce
     blocks = list(map(_blocks, exponents))
     # the orbits are counted before any is built
     _check_cap(cap, (_count_antichains(es, cap) for es, _, _ in blocks), "orbits")
-    per_prime = [
-        [(parts, size, count, (p, first)) for parts, size, count, first, *_ in _p_census(p, exps, b)]
-        for p, exps, b in zip(primes, exponents, blocks)
-    ]
     return [
         CensusRow(key, ReducedForm(firsts), count, size)
-        for key, size, count, firsts in _join(per_prime)
+        for key, size, count, firsts in _join(map(_p_census, primes, exponents, blocks))
     ]
 
 

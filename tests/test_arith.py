@@ -124,8 +124,10 @@ def test_factorize_round_trip(prime_powers):
 def test_nu_examples():
     assert nu(2, 8) == 3
     assert nu(3, 8) == 0
-    with pytest.raises(ValueError):
-        nu(2, 0)
+    # a base below 2 raises rather than looping (1, -1) or dividing by zero (0)
+    for p, m in [(2, 0), (1, 5), (-1, 5), (0, 5)]:
+        with pytest.raises(ValueError):
+            nu(p, m)
     # repeated-division check
     m, count = 12, 0
     while m % 2 == 0:

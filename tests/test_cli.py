@@ -81,6 +81,26 @@ def test_autoeq_json_golden(capsys):
     assert json.loads(out)["equivalent"] is True
 
 
+def test_fast_autoeq_decides_from_the_keys_it_prints(monkeypatch, capsys):
+    calls = {"quotient_key": 0, "are_automorphic": 0}
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def stub(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return stub
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    code, out, _ = run_cli(capsys, "autoeq", "-g", "4,4", "-x", "1,0", "-y", "0,3")
+    assert code == 0
+    assert out.splitlines()[-1] == "equivalent"
+    assert calls == {"quotient_key": 2, "are_automorphic": 0}
+
+
 def test_oracle_route_never_calls_the_fast_path(monkeypatch, capsys):
     autoeq = ("autoeq", "-g", "4,4", "-x", "1,0", "-y", "0,3", "--format", "json")
     orbits = ("orbits", "-g", "2,4", "--format", "json")

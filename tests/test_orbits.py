@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import pickle
 import random
@@ -383,6 +384,25 @@ def test_census_is_closed_form_past_the_form_cap(moduli, orbit_count):
     # p_group_orbits writes every form out, so the form cap still stops it
     with pytest.raises(CapacityExceeded):
         p_group_orbits(2, G.primary_exponents(2))
+
+
+def test_orbit_builders_leave_no_cyclic_garbage():
+    # an antichain recursion whose frames reached themselves through a
+    # reference cycle would keep its antichain list or memo alive until the
+    # next collection
+    census_group = make_group([2**k for k in range(1, 10)] * 50)
+    enumerated_group = make_group([8, 4, 2, 9, 3, 5, 25])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        orbit_census(census_group)
+        assert gc.collect() == 0
+        enumerate_orbits(enumerated_group)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_census_cap_bounds_orbits():
