@@ -1,4 +1,4 @@
-"""Integer arithmetic substrate: primality, factorization, valuations, phi.
+"""Integer arithmetic substrate: primality, factorization, valuations, CRT.
 
 Everything here is a pure function on unbounded integers.  Factorization
 strips the primes below a small fixed bound by trial division, and
@@ -193,13 +193,6 @@ def nu(p: int, m: int) -> int:
         m //= p
         k += 1
     return k
-
-
-def phi_prime_power(p: int, k: int) -> int:
-    """Euler phi of p**k for prime p and k >= 1: p**k - p**(k-1)."""
-    if k < 1:
-        raise ValueError(f"phi_prime_power requires k >= 1, got {k}")
-    return p**k - p ** (k - 1)
 
 
 def crt(congruences: list[tuple[int, int]]) -> int:

@@ -1,9 +1,15 @@
 """Command-line front end.
 
 Groups are comma-separated cyclic orders (`-g 2,4,8,8`), elements are
-comma-separated residues with matching arity.  Results go to stdout,
-diagnostics to stderr.  JSON output renders unbounded integers as decimal
-strings so 64-bit consumers cannot truncate them.
+comma-separated residues with matching arity.  Shared options are declared
+once: `--format text|json` on all four subcommands, `-g` on `quotient`,
+`autoeq` and `orbits`, and `--oracle` on `autoeq` and `orbits`, which also
+take `--cap`.  A `--cap` and `factor`'s `n` must be positive integers;
+anything else is a usage error (exit 2).  Results go to stdout, diagnostics
+to stderr.  Each command builds its JSON payload and its text lines once, and
+`_emit` prints the one that `--format` asks for.  JSON output renders
+unbounded integers as decimal strings so 64-bit consumers cannot truncate
+them.
 
 Exit codes: 0 success (autoeq: equivalent), 1 autoeq inequivalent, 2 parse
 error, 3 arity mismatch, 4 factorization failure, 5 capacity exceeded.
@@ -67,7 +73,8 @@ def parse_element(G: AbelianGroup, spec: str) -> GroupElement:
 
 
 def positive_int(spec: str) -> int:
-    """argparse type for a cap: a positive integer, else a usage error (exit 2)."""
+    """argparse type for a cap or factor's n: a positive integer, else a usage
+    error (exit 2)."""
     value = int(spec)  # argparse reports a ValueError as a usage error too
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
@@ -83,21 +90,30 @@ def _key_json(key: CanonicalGroupKey) -> dict:
     }
 
 
+def _emit(
+    args: argparse.Namespace, payload: dict, lines: list[str], indent: int | None = 2
+) -> None:
+    """Print the payload as JSON under --format json, else the text lines."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=indent))
+    else:
+        print(*lines, sep="\n")
+
+
 def cmd_quotient(args: argparse.Namespace) -> int:
     G = parse_group(args.group)
     x = parse_element(G, args.element)
     key = quotient_key(G, x, method=args.method)
-    if args.format == "json":
-        payload = {
-            "group": [str(d) for d in G.moduli],
-            "element": [str(c) for c in x.coords],
-            "method": args.method,
-            "quotient": _key_json(key),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"elementary: {key.describe_elementary()}")
-        print(f"invariant: {key.describe_invariant()}")
+    payload = {
+        "group": [str(d) for d in G.moduli],
+        "element": [str(c) for c in x.coords],
+        "method": args.method,
+        "quotient": _key_json(key),
+    }
+    _emit(args, payload, [
+        f"elementary: {key.describe_elementary()}",
+        f"invariant: {key.describe_invariant()}",
+    ])
     return EXIT_OK
 
 
@@ -112,96 +128,72 @@ def cmd_autoeq(args: argparse.Namespace) -> int:
         # x and y are automorphic exactly when G/<x> and G/<y> are isomorphic
         kx, ky = quotient_key(G, x), quotient_key(G, y)
         equivalent = kx == ky
-    if args.format == "json":
-        payload = {
-            "group": [str(d) for d in G.moduli],
-            "x": [str(c) for c in x.coords],
-            "y": [str(c) for c in y.coords],
-            "x_quotient": _key_json(kx),
-            "y_quotient": _key_json(ky),
-            "equivalent": equivalent,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"x quotient: {kx.describe_invariant()}")
-        print(f"y quotient: {ky.describe_invariant()}")
-        print("equivalent" if equivalent else "not equivalent")
+    payload = {
+        "group": [str(d) for d in G.moduli],
+        "x": [str(c) for c in x.coords],
+        "y": [str(c) for c in y.coords],
+        "x_quotient": _key_json(kx),
+        "y_quotient": _key_json(ky),
+        "equivalent": equivalent,
+    }
+    _emit(args, payload, [
+        f"x quotient: {kx.describe_invariant()}",
+        f"y quotient: {ky.describe_invariant()}",
+        "equivalent" if equivalent else "not equivalent",
+    ])
     return EXIT_OK if equivalent else EXIT_NOT_EQUIVALENT
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
     G = parse_group(args.group)
+    # one row per orbit: (quotient key, size, representative, form count or None)
     if args.oracle:
         partition = oracle.brute_orbits(G, cap=args.cap)
         keys = oracle.brute_quotient_keys(G, cap=args.cap)
-        rows = []
-        for orbit in partition:
-            rep = min(e.coords for e in orbit)
-            rows.append(
-                {
-                    "size": len(orbit),
-                    "representative": rep,
-                    "quotient": keys[rep],
-                }
-            )
+        reps = [min(e.coords for e in orbit) for orbit in partition]
+        rows = [(keys[rep], len(orbit), rep, None) for orbit, rep in zip(partition, reps)]
     else:
         rows = [
-            {
-                "size": r.size,
-                "representative": r.first.realize(G).coords,
-                "quotient": r.quotient_key,
-                "forms": r.form_count,
-            }
+            (r.quotient_key, r.size, r.first.realize(G).coords, r.form_count)
             for r in orbit_census(G, cap=args.cap)
         ]
-    total = sum(r["size"] for r in rows)
-    if args.format == "json":
-        payload = {
-            "group": [str(d) for d in G.moduli],
-            "order": str(G.order),
-            "orbit_count": len(rows),
-            "size_total": str(total),
-            "orbits": [
-                {
-                    "quotient": _key_json(r["quotient"]),
-                    "size": str(r["size"]),
-                    "representative": [str(c) for c in r["representative"]],
-                    **({"forms": r["forms"]} if "forms" in r else {}),
-                }
-                for r in rows
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"group: {','.join(str(d) for d in G.moduli)}")
-        print(f"order: {G.order}")
-        name_width = max(
-            [len(r["quotient"].describe_invariant()) for r in rows] + [len("quotient")]
-        )
-        print(f"{'quotient':<{name_width}}  {'size':>8}  representative")
-        for r in rows:
-            rep = ",".join(str(c) for c in r["representative"])
-            print(
-                f"{r['quotient'].describe_invariant():<{name_width}}  {r['size']:>8}  {rep}"
-            )
-        print(f"orbits: {len(rows)}")
-        print(f"size total: {total}")
+    total = sum(size for _, size, _, _ in rows)
+    payload = {
+        "group": [str(d) for d in G.moduli],
+        "order": str(G.order),
+        "orbit_count": len(rows),
+        "size_total": str(total),
+        "orbits": [
+            {
+                "quotient": _key_json(key),
+                "size": str(size),
+                "representative": [str(c) for c in rep],
+                **({} if forms is None else {"forms": forms}),
+            }
+            for key, size, rep, forms in rows
+        ],
+    }
+    names = [key.describe_invariant() for key, _, _, _ in rows]
+    width = max(map(len, names + ["quotient"]))
+    _emit(args, payload, [
+        f"group: {','.join(payload['group'])}",
+        f"order: {G.order}",
+        f"{'quotient':<{width}}  {'size':>8}  representative",
+        *(
+            f"{name:<{width}}  {size:>8}  {','.join(map(str, rep))}"
+            for name, (_, size, rep, _) in zip(names, rows)
+        ),
+        f"orbits: {len(rows)}",
+        f"size total: {total}",
+    ])
     return EXIT_OK
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
-    try:
-        n = int(args.n)
-    except ValueError as exc:
-        raise SpecError(f"cannot parse integer {args.n!r}") from exc
-    if n < 1:
-        raise SpecError(f"factor requires n >= 1, got {n}")
-    factors = factorize(n)
-    if args.format == "json":
-        print(json.dumps({"n": str(n), "factors": {str(p): e for p, e in factors.items()}}))
-    else:
-        body = " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in factors.items())
-        print(f"{n} = {body if body else 1}")
+    factors = factorize(args.n)
+    body = " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in factors.items())
+    payload = {"n": str(args.n), "factors": {str(p): e for p, e in factors.items()}}
+    _emit(args, payload, [f"{args.n} = {body if body else 1}"], indent=None)
     return EXIT_OK
 
 
@@ -213,47 +205,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("quotient", help="canonical form of G/<x>")
-    q.add_argument("-g", "--group", required=True, help="cyclic orders, e.g. 2,4,8,8")
+    # options that several subcommands share, each declared once
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    grp = argparse.ArgumentParser(add_help=False)
+    grp.add_argument("-g", "--group", required=True, help="cyclic orders, e.g. 2,4,8,8")
+    brute = argparse.ArgumentParser(add_help=False)
+    brute.add_argument(
+        "--oracle", action="store_true", help="answer by brute force instead (desk-scale)"
+    )
+
+    q = sub.add_parser("quotient", parents=[grp, fmt], help="canonical form of G/<x>")
     q.add_argument("-x", "--element", required=True, help="coordinates, e.g. 2,1,2,4")
     q.add_argument("--method", choices=("fast", "snf"), default="fast")
-    q.add_argument("--format", choices=("text", "json"), default="text")
     q.set_defaults(func=cmd_quotient)
 
-    a = sub.add_parser("autoeq", help="is some automorphism mapping x to y?")
-    a.add_argument("-g", "--group", required=True)
+    a = sub.add_parser(
+        "autoeq", parents=[grp, fmt, brute], help="is some automorphism mapping x to y?"
+    )
     a.add_argument("-x", required=True, help="first element")
     a.add_argument("-y", required=True, help="second element")
     a.add_argument(
-        "--oracle",
-        action="store_true",
-        help="decide and identify both quotients by brute force instead (desk-scale)",
-    )
-    a.add_argument(
         "--cap", type=positive_int, default=oracle.DEFAULT_CAP, help="bounds the --oracle search"
     )
-    a.add_argument("--format", choices=("text", "json"), default="text")
     a.set_defaults(func=cmd_autoeq)
 
-    o = sub.add_parser("orbits", help="list all automorphic orbits")
-    o.add_argument("-g", "--group", required=True)
-    o.add_argument("--format", choices=("text", "json"), default="text")
+    o = sub.add_parser("orbits", parents=[grp, fmt, brute], help="list all automorphic orbits")
     o.add_argument(
         "--cap",
         type=positive_int,
         default=DEFAULT_ENUMERATION_CAP,
         help="bounds the number of orbits, or the --oracle search",
     )
-    o.add_argument(
-        "--oracle",
-        action="store_true",
-        help="partition and label orbits by brute force instead (desk-scale)",
-    )
     o.set_defaults(func=cmd_orbits)
 
-    f = sub.add_parser("factor", help="prime factorization")
-    f.add_argument("n")
-    f.add_argument("--format", choices=("text", "json"), default="text")
+    f = sub.add_parser("factor", parents=[fmt], help="prime factorization")
+    f.add_argument("n", type=positive_int)
     f.set_defaults(func=cmd_factor)
 
     return parser

@@ -24,7 +24,7 @@ import operator
 from functools import lru_cache
 from typing import Iterator
 
-from .arith import factorize
+from .arith import factorize, is_prime
 from .errors import CapacityExceeded
 from .groups import (
     AbelianGroup, CanonicalGroupKey, GroupElement, Record, check_elements, element_order
@@ -35,13 +35,16 @@ DEFAULT_CAP = 10_000_000
 
 def aut_order_homocyclic(p: int, m: int, n: int) -> int:
     """|Aut| of the homocyclic p-group (C_{p^m})^n, by the closed form
-    p^((m-1) n^2) * prod_{j=0}^{n-1} (p^n - p^j).
+    p^((m-1) n^2) * prod_{j=0}^{n-1} (p^n - p^j).  Raises ValueError when p
+    is not prime or m or n is below 1.
 
     >>> aut_order_homocyclic(2, 1, 2)
     6
     >>> aut_order_homocyclic(2, 2, 2)
     96
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     out = p ** ((m - 1) * n * n)

@@ -6,10 +6,18 @@ import itertools
 import math
 from functools import lru_cache
 
-from autorbit.arith import factorize, phi_prime_power
+from autorbit.arith import factorize
 from autorbit.fastquot import canonical_points, p_group_quotient
 from autorbit.groups import AbelianGroup, CanonicalGroupKey, GroupElement, element_order
 from autorbit.orbits import OrbitSummary, ReducedForm
+
+
+def phi_prime_power(p: int, k: int) -> int:
+    """Euler phi of p**k for prime p and k >= 1: p**k - p**(k-1), the number
+    of generators of C_{p^k}, which the reference orbit sizes multiply."""
+    if k < 1:
+        raise ValueError(f"phi_prime_power requires k >= 1, got {k}")
+    return p**k - p ** (k - 1)
 
 
 @lru_cache(maxsize=None)

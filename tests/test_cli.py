@@ -195,6 +195,24 @@ def test_orbits_oracle_matches_fast_on_c2_cubed_c4(capsys):
     assert orbits(brute) == orbits(fast)
 
 
+def test_orbits_oracle_text_matches_fast_on_c2_cubed_c4(capsys):
+    argv = ("orbits", "-g", "2,2,2,4")
+    code, fast, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, brute, _ = run_cli(capsys, *argv, "--oracle")
+    assert code == 0
+
+    def table(out):
+        # header, footer, and the (quotient, size) columns of the rows; the
+        # routes may pick different representatives
+        lines = out.splitlines()
+        rows = sorted(line.rsplit(maxsplit=1)[0] for line in lines[3:-2])
+        return lines[:3], lines[-2:], rows
+
+    assert table(brute) == table(fast)
+    assert table(fast)[1] == ["orbits: 4", "size total: 32"]
+
+
 def test_quotient_json_round_trip(capsys):
     code, out, _ = run_cli(
         capsys, "quotient", "-g", "6,4", "-x", "3,2", "--format", "json"
@@ -249,6 +267,10 @@ def test_exit_code_parse_error(capsys):
     assert run_cli(capsys, "factor", "banana")[0] == 2
     assert run_cli(capsys, "factor", "0")[0] == 2
     assert run_cli(capsys, "nonsense-command")[0] == 2
+    # factor's n is checked by argparse, as --cap is: a usage error that names it
+    for n in ("0", "banana"):
+        code, out, err = run_cli(capsys, "factor", n)
+        assert (code, out) == (2, "") and "argument n" in err
 
 
 def test_exit_code_arity_mismatch(capsys):

@@ -47,6 +47,10 @@ def test_aut_order_homocyclic_trivial_case():
     assert aut_order_homocyclic(2, 1, 1) == 1
     with pytest.raises(ValueError):
         aut_order_homocyclic(2, 0, 1)
+    # a non-prime p used to return a wrong count (180, 0, -1 and -3)
+    for p, m, n in ((4, 1, 2), (1, 1, 1), (0, 1, 1), (-2, 1, 1)):
+        with pytest.raises(ValueError):
+            aut_order_homocyclic(p, m, n)
 
 
 def _invertible_mod(p, rows):

@@ -1,9 +1,12 @@
 """Source checks over every module of the package."""
 
 import ast
+import runpy
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "autorbit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "autorbit"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -54,4 +57,65 @@ def test_no_nested_function_calls_itself():
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         found += self_calling_closures(str(path.relative_to(PACKAGE)), path.read_text())
+    assert found == []
+
+
+def unused_imports(
+    name: str, source: str, traced: frozenset[str] | set[str] = frozenset()
+) -> list[str]:
+    """'name:line binding' for each name the module imports that it neither
+    uses, nor lists in __all__, nor has traced by the benchmark (traced names
+    are rebound from outside, so they must stay importable even when unused)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.partition(".")[0], node.lineno)
+    kept = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(traced)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            kept |= set(ast.literal_eval(node.value))
+    return [
+        f"{name}:{line} {bound}"
+        for bound, line in sorted(imported.items(), key=lambda item: (item[1], item[0]))
+        if bound not in kept
+    ]
+
+
+def test_lint_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from math import gcd, lcm as least\n"
+        "from .core import exported, traced\n"
+        "__all__ = ['exported']\n"
+        "\n"
+        "def f(a: int) -> str:\n"
+        "    import sys\n"
+        "    return json.dumps(gcd(a, 6))\n"
+    )
+    assert unused_imports("sample.py", source, {"traced"}) == [
+        "sample.py:3 os",
+        "sample.py:4 least",
+        "sample.py:9 sys",
+    ]
+
+
+def test_every_import_is_used_exported_or_traced():
+    traced: dict[str, set[str]] = {}
+    for _, where, attr, _ in runpy.run_path(str(SPANS))["BINDINGS"]:
+        module, _, cls = where.partition(":")
+        if not cls:
+            traced.setdefault(module, set()).add(attr)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        relative = path.relative_to(PACKAGE)
+        module = ".".join(("autorbit", *relative.with_suffix("").parts)).removesuffix(".__init__")
+        found += unused_imports(str(relative), path.read_text(), traced.get(module, set()))
     assert found == []
