@@ -122,8 +122,10 @@ def cmd_autoeq(args: argparse.Namespace) -> int:
     x = parse_element(G, args.x)
     y = parse_element(G, args.y)
     if args.oracle:
-        kx, ky = (oracle.brute_quotient_key(G, z, cap=args.cap) for z in (x, y))
+        # the Aut(G) search's cap is never looser than the keys', so an
+        # over-cap group fails here before any key work
         equivalent = oracle.is_automorphic_image_bruteforce(G, x, y, cap=args.cap)
+        kx, ky = (oracle.brute_quotient_key(G, z, cap=args.cap) for z in (x, y))
     else:
         # x and y are automorphic exactly when G/<x> and G/<y> are isomorphic
         kx, ky = quotient_key(G, x), quotient_key(G, y)

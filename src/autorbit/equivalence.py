@@ -1,12 +1,21 @@
 """Decide whether two elements are automorphic images of each other.
 
 Some automorphism maps x to y exactly when G/<x> and G/<y> are isomorphic, so
-the decision reduces to comparing canonical quotient keys.  An order pre-check
-short-circuits the common negative case: automorphisms preserve order, and the
-quotients already differ in cardinality when the orders differ.
+the decision reduces to comparing canonical quotient keys.  A decision ends in
+one of three ways:
+
+- **order mismatch**: automorphisms preserve order, and the quotients already
+  differ in cardinality when the orders differ, so the answer is False;
+- **equal point sets**: at each prime the quotient depends only on the set of
+  an element's (valuation, exponent) points (their non-dominated points,
+  ``fastquot.canonical_points``, are a function of the set), so when x and y
+  have the same set at every prime the answer is True with no key built;
+- **key comparison**: otherwise the two canonical quotient keys decide.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from . import fastquot, snf
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, check_elements, element_order
@@ -33,6 +42,10 @@ def are_automorphic(
 ) -> bool:
     """True iff some automorphism of G maps x to y.
 
+    The decision ends at the first of three checks that settles it, on either
+    method: unequal element orders (False), equal per-prime point sets (True),
+    or the comparison of the two quotient keys.
+
     Raises ValueError for an unknown method, DimensionMismatch when an
     element's arity differs from G's, and ForeignElement when an element of
     matching arity belongs to another group.
@@ -50,4 +63,24 @@ def are_automorphic(
     check_elements(G, x, y)
     if element_order(x) != element_order(y):
         return False
+    if _equal_point_sets(G, x.coords, y.coords):
+        return True
     return quotient_key(G, x, method) == quotient_key(G, y, method)
+
+
+def _equal_point_sets(G: AbelianGroup, xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
+    """True when x and y have the same set of (p^f, p^e) points at every prime
+    of G, which makes them automorphic; False at the first prime that differs.
+
+    The whole-element profile, the set of (d_i, gcd(c_i, d_i)), is compared
+    first: it fixes every coordinate's valuation at every prime, so equal
+    profiles give equal point sets without a walk over the primes.
+    """
+    mods = G.moduli
+    if set(zip(mods, map(gcd, xs, mods))) == set(zip(mods, map(gcd, ys, mods))):
+        return True
+    for triples in G._primary.values():
+        x_points = {(gcd(xs[i], pe), pe) for i, _, pe in triples}
+        if x_points != {(gcd(ys[i], pe), pe) for i, _, pe in triples}:
+            return False
+    return True

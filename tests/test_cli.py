@@ -284,6 +284,22 @@ def test_exit_code_capacity(capsys):
                    "-y", "1,1,1,1,1,1,1,0", "--oracle", "--cap", "1000")[0] == 5
 
 
+def test_oracle_autoeq_over_cap_builds_no_key(monkeypatch, capsys):
+    # C256 x C256 fits the key cap (|G| <= 10^7) but not the Aut(G) search's
+    # (|G|^rank <= 10^7); the keys used to be built first, 0.99 s of work
+    calls = []
+    real = cli.oracle.brute_quotient_key
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.oracle, "brute_quotient_key", counting)
+    code, out, err = run_cli(capsys, "autoeq", "-g", "256,256", "-x", "1,0", "-y", "0,1", "--oracle")
+    assert (code, out, calls) == (5, "", [])
+    assert "automorphism search space" in err
+
+
 def test_cap_must_be_positive(capsys):
     # `orbits --cap -1` used to report "9+ reduced forms exceed cap -1", exit 5
     for cap in ("0", "-1"):

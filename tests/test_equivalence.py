@@ -1,11 +1,13 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from _support import groups_up_to
-from autorbit.equivalence import are_automorphic, quotient_key
+from autorbit import bench, kernels
+from autorbit.equivalence import _equal_point_sets, are_automorphic, quotient_key
 from autorbit.errors import DimensionMismatch, ForeignElement
 from autorbit.fastquot import quotient, sylow_decompose
 from autorbit.groups import element_order, make_group, to_invariant_coordinates
@@ -17,6 +19,7 @@ from autorbit.oracle import (
 )
 from autorbit.orbits import reduced_form
 from autorbit.snf import quotient_by_snf
+from test_acceptance import CRITERION_7_RANKS, _counted_work, _in_criterion_7_window, _increment_exponent
 
 
 def test_unit_scaling_and_swap_are_automorphic():
@@ -171,7 +174,11 @@ def test_equivalence_relation_properties():
 
 
 def test_matches_exhaustive_orbit_search_small():
-    for G in groups_up_to(32):
+    # |G| <= 64 takes in C2 x C4 x C8, where (1, 2, 1) and (0, 1, 1) have
+    # equal order and equal sets of valuations but unequal (valuation,
+    # exponent) point sets, and C2 x C3 x C9, where (1, 0, 3) and (1, 1, 0)
+    # have equal order, agree at the prime 2 and differ at 3
+    for G in groups_up_to(64):
         if G.order ** G.rank > 10**7:
             continue
         orbit_id = {}
@@ -185,6 +192,61 @@ def test_matches_exhaustive_orbit_search_small():
             same_key = keys[x.coords] == keys[y.coords]
             assert same_orbit == same_key, (G, x, y)
             assert are_automorphic(G, x, y) == same_orbit
+            if _equal_point_sets(G, x.coords, y.coords):
+                assert same_orbit, (G, x, y)
+
+
+def _count_sweeps(monkeypatch) -> list[int]:
+    calls = [0]
+    real = kernels.pgroup_sweep
+
+    def counting(fs, es):
+        calls[0] += 1
+        return real(fs, es)
+
+    monkeypatch.setattr(kernels, "pgroup_sweep", counting)
+    return calls
+
+
+def test_equal_point_sets_decide_without_a_sweep(monkeypatch):
+    # rank 512: four C6 coordinates, then C4s.  The transvection that adds 3
+    # times coordinate 2 to coordinate 0 takes 2 to 5, so the profile
+    # (d_i, gcd(c_i, d_i)) loses (6, 2).  Coordinate 0's points, written
+    # (p^f, p^e), go from (2, 2) and (1, 3) to (1, 2) and (1, 3), but the
+    # point sets stay the same: the zero coordinate 3 still holds (2, 2), and
+    # coordinate 2 already held (1, 2).
+    G = make_group([6] * 4 + [4] * 508)
+    x = G.element([2, 3, 1, 0] + [1] * 508)
+    y = G.element([5, 3, 1, 0] + [1] * 508)
+    mods = G.moduli
+    assert {(d, math.gcd(c, d)) for c, d in zip(x.coords, mods)} != {
+        (d, math.gcd(c, d)) for c, d in zip(y.coords, mods)
+    }
+    assert quotient_key(G, x) == quotient_key(G, y)
+    sweeps = _count_sweeps(monkeypatch)
+    assert are_automorphic(G, x, y)
+    assert sweeps == [0]
+
+
+def test_same_order_pair_in_two_orbits_reaches_the_keys(monkeypatch):
+    # rank 512, both of order 2: G/<x> is C4^511, G/<y> is C2 x C2 x C4^510
+    G = make_group([2] + [4] * 511)
+    x = G.element([1] + [0] * 511)
+    y = G.element([0, 2] + [0] * 510)
+    assert element_order(x) == element_order(y)
+    sweeps = _count_sweeps(monkeypatch)
+    assert not are_automorphic(G, x, y)
+    assert sweeps == [2]  # one sweep per key at the one prime
+
+
+def test_quotient_key_work_scales_in_criterion_7_window():
+    # criterion 7's pair ends at the point-set check, so the sweep's own
+    # scaling on the same instance is asserted here, by the same counting
+    work = {}
+    for rank in CRITERION_7_RANKS:
+        G, x, _ = bench.c4_instance(rank)
+        work[rank] = _counted_work(lambda: quotient_key(G, x))
+    assert _in_criterion_7_window(_increment_exponent(work)), work
 
 
 def test_maximal_order_elements_share_one_quotient():
