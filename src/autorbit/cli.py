@@ -3,13 +3,15 @@
 Groups are comma-separated cyclic orders (`-g 2,4,8,8`), elements are
 comma-separated residues with matching arity.  Shared options are declared
 once: `--format text|json` on all four subcommands, `-g` on `quotient`,
-`autoeq` and `orbits`, and `--oracle` on `autoeq` and `orbits`, which also
-take `--cap`.  A `--cap` and `factor`'s `n` must be positive integers;
-anything else is a usage error (exit 2).  Results go to stdout, diagnostics
-to stderr.  Each command builds its JSON payload and its text lines once, and
-`_emit` prints the one that `--format` asks for.  JSON output renders
-unbounded integers as decimal strings so 64-bit consumers cannot truncate
-them.
+`autoeq` and `orbits`, and `--oracle` and `--cap` (default
+`errors.DEFAULT_CAP`) on `autoeq` and `orbits`.  A `--cap` and `factor`'s `n`
+must be positive integers; anything else is a usage error (exit 2).  Results
+go to stdout, diagnostics to stderr.  Each command builds its JSON payload
+and its text lines once, and `_emit` prints the one that `--format` asks for.
+JSON output renders unbounded integers as decimal strings so 64-bit
+consumers cannot truncate them.  An input integer is held to the
+interpreter's limit on decimal digits (4300 by default), but a result prints
+every digit: `main` lifts the limit while a command runs.
 
 Exit codes: 0 success (autoeq: equivalent), 1 autoeq inequivalent, 2 parse
 error, 3 arity mismatch, 4 factorization failure, 5 capacity exceeded.
@@ -27,13 +29,14 @@ from .arith import factorize
 # cli, and test_oracle_route_never_calls_the_fast_path stubs it out.
 from .equivalence import are_automorphic, quotient_key
 from .errors import (
+    DEFAULT_CAP,
     CapacityExceeded,
     DimensionMismatch,
     FactorizationFailure,
     NonPositiveModulus,
 )
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement
-from .orbits import DEFAULT_ENUMERATION_CAP, orbit_census
+from .orbits import orbit_census
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -41,6 +44,10 @@ EXIT_PARSE = 2
 EXIT_ARITY = 3
 EXIT_FACTORIZATION = 4
 EXIT_CAPACITY = 5
+
+# The interpreter's limit on decimal digits at import (0: none), which every
+# input integer obeys; main lifts the limit only so that results print whole.
+INPUT_DIGITS = sys.get_int_max_str_digits()
 
 
 class SpecError(Exception):
@@ -58,8 +65,11 @@ ERROR_EXIT_CODES = {
 
 
 def parse_int_list(spec: str) -> list[int]:
+    parts = [part.strip() for part in spec.split(",")]
     try:
-        return [int(part.strip()) for part in spec.split(",")]
+        if 0 < INPUT_DIGITS < max(sum(map(str.isdecimal, part)) for part in parts):
+            raise ValueError(f"an integer has more than {INPUT_DIGITS} digits")
+        return list(map(int, parts))
     except ValueError as exc:
         raise SpecError(f"cannot parse integer list {spec!r}") from exc
 
@@ -216,6 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     brute.add_argument(
         "--oracle", action="store_true", help="answer by brute force instead (desk-scale)"
     )
+    brute.add_argument(
+        "--cap",
+        type=positive_int,
+        default=DEFAULT_CAP,
+        help="bounds the --oracle search; on orbits, also the number of orbits",
+    )
 
     q = sub.add_parser("quotient", parents=[grp, fmt], help="canonical form of G/<x>")
     q.add_argument("-x", "--element", required=True, help="coordinates, e.g. 2,1,2,4")
@@ -227,18 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     a.add_argument("-x", required=True, help="first element")
     a.add_argument("-y", required=True, help="second element")
-    a.add_argument(
-        "--cap", type=positive_int, default=oracle.DEFAULT_CAP, help="bounds the --oracle search"
-    )
     a.set_defaults(func=cmd_autoeq)
 
     o = sub.add_parser("orbits", parents=[grp, fmt, brute], help="list all automorphic orbits")
-    o.add_argument(
-        "--cap",
-        type=positive_int,
-        default=DEFAULT_ENUMERATION_CAP,
-        help="bounds the number of orbits, or the --oracle search",
-    )
     o.set_defaults(func=cmd_orbits)
 
     f = sub.add_parser("factor", parents=[fmt], help="prime factorization")
@@ -254,11 +261,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except tuple(ERROR_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in ERROR_EXIT_CODES.items() if isinstance(exc, kind))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

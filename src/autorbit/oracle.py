@@ -9,10 +9,13 @@ rows chosen so far stay independent mod every prime (the Burnside basis
 theorem).  An element's orbit is its images under those tables; since an
 image depends only on the generators where the element's coordinates are
 nonzero, each distinct projection of the tables onto that support is applied
-once.  The decision answers elements of different orders without applying
-any table.  It is desk-scale machinery: every entry point enforces a capacity
-cap and raises CapacityExceeded beyond it.  It is first-class (exposed on the
-CLI), not test-only code, since the naive iterate-over-Aut(G) decision
+once.  It is desk-scale machinery: every entry point calls errors.check_cap
+before it builds or fetches anything, bounding the Aut(G) search by |G|^rank
+(the running product of rank copies of |G|) and the quotient keys by |G|.
+The tables are cached by presentation alone, so a call with another cap
+reuses them.  The decision answers elements of different orders after the
+cap check and before any table is fetched.  It is first-class (exposed on
+the CLI), not test-only code, since the naive iterate-over-Aut(G) decision
 procedure is itself a baseline worth comparing against.
 """
 
@@ -25,12 +28,10 @@ from functools import lru_cache
 from typing import Iterator
 
 from .arith import factorize, is_prime
-from .errors import CapacityExceeded
+from .errors import DEFAULT_CAP, check_cap
 from .groups import (
     AbelianGroup, CanonicalGroupKey, GroupElement, Record, check_elements, element_order
 )
-
-DEFAULT_CAP = 10_000_000
 
 
 def aut_order_homocyclic(p: int, m: int, n: int) -> int:
@@ -128,27 +129,21 @@ def _extend(found, levels, i, prefix, spans) -> None:
 
 
 @lru_cache(maxsize=8)
-def _raw_automorphisms(moduli: tuple[int, ...], cap: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _raw_automorphisms(moduli: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All automorphisms as tuples of generator images (raw coordinate tuples),
     in lexicographic image order: the order of the product of the image pools,
-    which a depth-first search over the generators keeps while it prunes."""
-    order = math.prod(moduli)
-    # positions[p]: the coordinates whose modulus p divides.  The rank, the
-    # minimal generator count, is the most moduli any one prime divides.
+    which a depth-first search over the generators keeps while it prunes.
+    Every caller bounds the search by |G|^rank first."""
+    # positions[p]: the coordinates whose modulus p divides.
     positions: dict[int, list[int]] = {}
     for i, d in enumerate(moduli):
         for p in factorize(d):
             positions.setdefault(p, []).append(i)
-    rank = max(map(len, positions.values()), default=0)
-    if order**rank > cap:
-        raise CapacityExceeded(
-            f"automorphism search space {order}^{rank} exceeds cap {cap}"
-        )
     # Generator i may map to any element whose order divides d_i, that is, whose
     # coordinate j is a multiple of d_j / gcd(d_i, d_j): prod_j gcd(d_i, d_j)
     # elements, at most |G_p| per prime p dividing d_i.  Each prime divides at
-    # most `rank` of the moduli, so the candidate tuples number at most
-    # prod_p |G_p|^rank = order**rank, which the cap check above already bounds.
+    # most rank G of the moduli, so the candidate tuples number at most
+    # prod_p |G_p|^rank = |G|^rank, which every caller's cap check bounds.
     #
     # By the Burnside basis theorem an endomorphism is bijective exactly when,
     # for each prime p, the map it induces on G/pG = F_p^{r_p} is: when the
@@ -211,7 +206,8 @@ def enumerate_automorphisms(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[End
     generator order) generator by generator, keeping an image only while the
     chosen images stay independent on G/pG for every prime p, so the tuples
     found are those invertible on every G/pG.  Lexicographic output order.
-    Raises CapacityExceeded when |G|^rank exceeds the cap.
+    Raises ValueError for a cap below 1 and CapacityExceeded when |G|^rank
+    exceeds the cap, before any search.
 
     >>> from .groups import make_group
     >>> len(enumerate_automorphisms(make_group([4])))
@@ -219,7 +215,8 @@ def enumerate_automorphisms(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[End
     >>> len(enumerate_automorphisms(make_group([2, 2])))
     6
     """
-    raw = _raw_automorphisms(G.moduli, cap)
+    check_cap(cap, itertools.repeat(G.order, G.rank), "automorphism search space |G|^rank")
+    raw = _raw_automorphisms(G.moduli)
     return [
         EndomorphismTable(G, tuple(GroupElement(G, img) for img in images))
         for images in raw
@@ -234,15 +231,17 @@ def is_automorphic_image_bruteforce(
     The naive baseline: it enumerates every automorphism table, projects the
     tables onto the generators where x's coordinates are nonzero, and compares
     y with the image of x under each distinct projection until one matches.
-    Elements of different orders are answered without applying any table, but
-    only after the tables are fetched, so the cap applies to every pair.
-    Raises DimensionMismatch or ForeignElement for an element not of G.
+    It checks the elements, then the cap (|G|^rank), then the orders, and only
+    then fetches the tables: elements of different orders are answered
+    without building any table, and the cap still applies to every pair.
+    Raises DimensionMismatch or ForeignElement for an element not of G,
+    ValueError for a cap below 1 and CapacityExceeded over the cap.
     """
     check_elements(G, x, y)
-    tables = _raw_automorphisms(G.moduli, cap)
+    check_cap(cap, itertools.repeat(G.order, G.rank), "automorphism search space |G|^rank")
     if element_order(x) != element_order(y):
         return False
-    return y.coords in _images(x.coords, tables, G.moduli)
+    return y.coords in _images(x.coords, _raw_automorphisms(G.moduli), G.moduli)
 
 
 def brute_orbits(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[frozenset[GroupElement]]:
@@ -255,7 +254,8 @@ def brute_orbits(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[frozenset[Grou
     >>> sorted(len(o) for o in brute_orbits(make_group([4])))
     [1, 1, 2]
     """
-    tables = _raw_automorphisms(G.moduli, cap)
+    check_cap(cap, itertools.repeat(G.order, G.rank), "automorphism search space |G|^rank")
+    tables = _raw_automorphisms(G.moduli)
     moduli = G.moduli
     orbits = []
     placed = set()
@@ -319,7 +319,8 @@ def brute_quotient_key(G: AbelianGroup, x: GroupElement, cap: int = DEFAULT_CAP)
     Enumerates the cosets of <x>; for each prime p dividing the quotient order
     and each k, counts the cosets annihilated by p^k.  Those counts pin down a
     finite abelian group uniquely, prime by prime.  Raises DimensionMismatch
-    or ForeignElement for an element not of G.
+    or ForeignElement for an element not of G, ValueError for a cap below 1
+    and CapacityExceeded when |G| exceeds the cap.
 
     >>> from .groups import make_group
     >>> G = make_group([2, 4])
@@ -328,8 +329,7 @@ def brute_quotient_key(G: AbelianGroup, x: GroupElement, cap: int = DEFAULT_CAP)
     """
     check_elements(G, x)
     N = G.order
-    if N > cap:
-        raise CapacityExceeded(f"group order {N} exceeds cap {cap}")
+    check_cap(cap, (N,), "group elements")
     moduli = G.moduli
     H = set(_multiples(x.coords, moduli))
     q = N // len(H)
@@ -341,10 +341,9 @@ def brute_quotient_key(G: AbelianGroup, x: GroupElement, cap: int = DEFAULT_CAP)
 def brute_quotient_keys(G: AbelianGroup, cap: int = DEFAULT_CAP) -> dict[tuple[int, ...], CanonicalGroupKey]:
     """Quotient key for every element of G, by the same torsion counting as
     brute_quotient_key but with the power layers of G shared across elements
-    and one computation per distinct cyclic subgroup."""
+    and one computation per distinct cyclic subgroup.  The cap bounds |G|."""
     N = G.order
-    if N > cap:
-        raise CapacityExceeded(f"group order {N} exceeds cap {cap}")
+    check_cap(cap, (N,), "group elements")
     moduli = G.moduli
     elements = _all_coords(moduli)
     # every quotient has exponent dividing G's: deeper layers repeat counts

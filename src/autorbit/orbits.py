@@ -40,7 +40,8 @@ form passes through Record.__init__.
 
 enumerate_orbits and p_group_orbits are capped (default 10**7 reduced forms)
 and orbit_census by the number of orbits, which it counts before building
-them; one check fails loudly with CapacityExceeded rather than hang.
+them.  Each calls errors.check_cap before building anything, so it fails
+loudly with CapacityExceeded rather than hang.
 """
 
 from __future__ import annotations
@@ -52,11 +53,9 @@ from operator import contains, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
 from .arith import crt, is_prime
-from .errors import CapacityExceeded, DimensionMismatch, InvalidValuation
+from .errors import DEFAULT_CAP, DimensionMismatch, InvalidValuation, check_cap
 from .fastquot import p_group_quotient, sylow_decompose
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, Record
-
-DEFAULT_ENUMERATION_CAP = 10_000_000
 
 
 class ReducedForm(Record):
@@ -215,18 +214,6 @@ def _p_census(
     return rows
 
 
-def _check_cap(cap: int, counts, what: str) -> None:
-    """ValueError for a cap below 1, then CapacityExceeded as soon as the
-    running product of the lazily read counts of `what` passes the cap."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    total = 1
-    for n in counts:
-        total *= n
-        if total > cap:
-            raise CapacityExceeded(f"{total}+ {what} exceed cap {cap}")
-
-
 def _p_orbits(p: int, exponents: tuple[int, ...]) -> list:
     """The orbits of the p-group with these component exponents, by first
     form: per orbit (quotient key parts, size, form count, pairs), where
@@ -284,7 +271,7 @@ def _summaries(per_prime: list[list]) -> list[OrbitSummary]:
 
 
 def p_group_orbits(
-    p: int, exponents: tuple[int, ...], cap: int = DEFAULT_ENUMERATION_CAP
+    p: int, exponents: tuple[int, ...], cap: int = DEFAULT_CAP
 ) -> list[OrbitSummary]:
     """Orbits of the p-group with the given component exponents.
 
@@ -302,11 +289,11 @@ def p_group_orbits(
         raise ValueError(f"{p} is not prime")
     if any(e < 1 for e in exponents):
         raise ValueError("component exponents must be >= 1")
-    _check_cap(cap, (e + 1 for e in exponents), "reduced forms")
+    check_cap(cap, (e + 1 for e in exponents), "reduced forms")
     return _summaries([_p_orbits(p, exponents)])
 
 
-def orbit_census(G: AbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[CensusRow]:
+def orbit_census(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[CensusRow]:
     """Every automorphic orbit of G without writing out its reduced forms.
 
     Row i describes enumerate_orbits(G)[i]: the same quotient key and size,
@@ -323,7 +310,7 @@ def orbit_census(G: AbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Ce
     exponents = list(map(G.primary_exponents, primes))
     blocks = list(map(_blocks, exponents))
     # the orbits are counted before any is built
-    _check_cap(cap, (_count_antichains(es, cap) for es, _, _ in blocks), "orbits")
+    check_cap(cap, (_count_antichains(es, cap) for es, _, _ in blocks), "orbits")
     return [
         CensusRow(key, ReducedForm(firsts), count, size)
         for key, size, count, firsts in _join(map(_p_census, primes, exponents, blocks))
@@ -331,7 +318,7 @@ def orbit_census(G: AbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Ce
 
 
 def enumerate_orbits(
-    G: AbelianGroup, cap: int = DEFAULT_ENUMERATION_CAP
+    G: AbelianGroup, cap: int = DEFAULT_CAP
 ) -> list[OrbitSummary]:
     """All automorphic orbits of G, with exact sizes summing to |G|.
 
@@ -346,7 +333,7 @@ def enumerate_orbits(
     """
     primes = G.primes()
     exponents = list(map(G.primary_exponents, primes))
-    _check_cap(cap, (e + 1 for exps in exponents for e in exps), "reduced forms")
+    check_cap(cap, (e + 1 for exps in exponents for e in exps), "reduced forms")
     if len(primes) == 1:
         return p_group_orbits(primes[0], exponents[0], cap)
     return _summaries(list(map(_p_orbits, primes, exponents)))

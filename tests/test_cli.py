@@ -273,6 +273,40 @@ def test_exit_code_parse_error(capsys):
         assert (code, out) == (2, "") and "argument n" in err
 
 
+def test_results_print_every_digit(capsys):
+    # |C2^2200| = 2^2200 has 663 digits, past a limit of 640 on int-to-str
+    # conversion; each command builds its payload in both formats, so all six
+    # runs used to end in a ValueError traceback
+    group = ",".join(["2"] * 2200)
+    zero = ",".join(["0"] * 2200)
+    argvs = {
+        "autoeq": ["autoeq", "-g", group, "-x", zero, "-y", zero],
+        "quotient": ["quotient", "-g", group, "-x", zero],
+        "orbits": ["orbits", "-g", group],
+    }
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        runs = {
+            (name, fmt): run_cli(capsys, *argv, "--format", fmt)
+            for name, argv in argvs.items()
+            for fmt in ("text", "json")
+        }
+        assert sys.get_int_max_str_digits() == 640  # main restores the limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert {code for code, _, _ in runs.values()} == {0}
+    digits = str(2**2200)
+    assert json.loads(runs["autoeq", "json"][1])["x_quotient"]["order"] == digits
+    assert json.loads(runs["quotient", "json"][1])["quotient"]["order"] == digits
+    assert json.loads(runs["orbits", "json"][1])["order"] == digits
+    assert f"order: {digits}\n" in runs["orbits", "text"][1]
+    assert f"size total: {digits}\n" in runs["orbits", "text"][1]
+    # an input integer still obeys the limit: a parse error, exit 2
+    too_long = "1" * (cli.INPUT_DIGITS + 1)
+    assert run_cli(capsys, "quotient", "-g", f"2,{too_long}", "-x", "0,0")[:2] == (2, "")
+
+
 def test_exit_code_arity_mismatch(capsys):
     assert run_cli(capsys, "quotient", "-g", "2,4", "-x", "1,2,3")[0] == 3
     assert run_cli(capsys, "autoeq", "-g", "2,4", "-x", "1", "-y", "0,0")[0] == 3

@@ -119,3 +119,60 @@ def test_every_import_is_used_exported_or_traced():
         module = ".".join(("autorbit", *relative.with_suffix("").parts)).removesuffix(".__init__")
         found += unused_imports(str(relative), path.read_text(), traced.get(module, set()))
     assert found == []
+
+
+def capacity_raises(name: str, source: str) -> list[str]:
+    """'name:line scope' for each statement that raises CapacityExceeded,
+    by name or as an attribute, where scope is the enclosing function's
+    qualified name (<module> at top level).  The capacity policy lives in one
+    check, so the package should have exactly one."""
+    found = []
+    stack = [(ast.parse(source), "<module>")]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "CapacityExceeded":
+                    found.append((child.lineno, scope))
+            if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                stack.append((child, f"{scope}.{child.name}".removeprefix("<module>.")))
+            else:
+                stack.append((child, scope))
+    return [f"{name}:{line} {scope}" for line, scope in sorted(found)]
+
+
+def test_lint_finds_every_capacity_raise():
+    source = (
+        "from . import errors\n"
+        "from .errors import CapacityExceeded\n"
+        "\n"
+        "def check_cap(cap):\n"
+        "    raise CapacityExceeded('over cap')\n"
+        "\n"
+        "def inline(n, cap):\n"
+        "    if n > cap:\n"
+        "        raise errors.CapacityExceeded(f'{n} over cap {cap}')\n"
+        "\n"
+        "class Walker:\n"
+        "    def walk(self):\n"
+        "        raise CapacityExceeded\n"
+        "\n"
+        "def other(cap):\n"
+        "    raise ValueError(cap)\n"
+        "\n"
+        "raise CapacityExceeded()\n"
+    )
+    assert capacity_raises("sample.py", source) == [
+        "sample.py:5 check_cap",
+        "sample.py:9 inline",
+        "sample.py:13 Walker.walk",
+        "sample.py:18 <module>",
+    ]
+
+
+def test_only_check_cap_raises_capacity_exceeded():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found += capacity_raises(str(path.relative_to(PACKAGE)), path.read_text())
+    assert [(f.partition(":")[0], f.partition(" ")[2]) for f in found] == [("errors.py", "check_cap")], found
