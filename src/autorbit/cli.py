@@ -4,17 +4,20 @@ Groups are comma-separated cyclic orders (`-g 2,4,8,8`), elements are
 comma-separated residues with matching arity.  Shared options are declared
 once: `--format text|json` on all four subcommands, `-g` on `quotient`,
 `autoeq` and `orbits`, and `--oracle` and `--cap` (default
-`errors.DEFAULT_CAP`) on `autoeq` and `orbits`.  A `--cap` and `factor`'s `n`
-must be positive integers; anything else is a usage error (exit 2).  Results
-go to stdout, diagnostics to stderr.  Each command builds its JSON payload
-and its text lines once, and `_emit` prints the one that `--format` asks for.
-JSON output renders unbounded integers as decimal strings so 64-bit
-consumers cannot truncate them.  An input integer is held to the
-interpreter's limit on decimal digits (4300 by default), but a result prints
-every digit: `main` lifts the limit while a command runs.
+`errors.DEFAULT_CAP`) on `autoeq` and `orbits`.  argparse converts every
+operand: `-g`, `-x` and `-y` to integer lists, and a `--cap` and `factor`'s
+`n` to positive integers.  It does so under the interpreter's limit on
+decimal digits (4300 by default), so a malformed operand or an over-long
+integer is a usage error (exit 2) that names its option.  Results go to
+stdout, diagnostics to stderr.  Each command builds its JSON payload and its
+text lines once, and `_emit` prints the one that `--format` asks for.  JSON
+output renders unbounded integers as decimal strings so 64-bit consumers
+cannot truncate them.  A result prints every digit: `main` lifts the limit
+only while a command runs, after parsing, and restores it on return.
 
-Exit codes: 0 success (autoeq: equivalent), 1 autoeq inequivalent, 2 parse
-error, 3 arity mismatch, 4 factorization failure, 5 capacity exceeded.
+Exit codes: 0 success (autoeq: equivalent), 1 autoeq inequivalent, 2 usage
+or parse error, 3 arity mismatch, 4 factorization failure, 5 capacity
+exceeded.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     FactorizationFailure,
     NonPositiveModulus,
 )
-from .groups import AbelianGroup, CanonicalGroupKey, GroupElement
+from .groups import AbelianGroup, CanonicalGroupKey
 from .orbits import orbit_census
 
 EXIT_OK = 0
@@ -45,18 +48,8 @@ EXIT_ARITY = 3
 EXIT_FACTORIZATION = 4
 EXIT_CAPACITY = 5
 
-# The interpreter's limit on decimal digits at import (0: none), which every
-# input integer obeys; main lifts the limit only so that results print whole.
-INPUT_DIGITS = sys.get_int_max_str_digits()
-
-
-class SpecError(Exception):
-    """A group/element spec failed to parse."""
-
-
 # The errors a command may raise, each printed as "error: ..." with its code.
 ERROR_EXIT_CODES = {
-    SpecError: EXIT_PARSE,
     NonPositiveModulus: EXIT_PARSE,
     DimensionMismatch: EXIT_ARITY,
     FactorizationFailure: EXIT_FACTORIZATION,
@@ -65,21 +58,9 @@ ERROR_EXIT_CODES = {
 
 
 def parse_int_list(spec: str) -> list[int]:
-    parts = [part.strip() for part in spec.split(",")]
-    try:
-        if 0 < INPUT_DIGITS < max(sum(map(str.isdecimal, part)) for part in parts):
-            raise ValueError(f"an integer has more than {INPUT_DIGITS} digits")
-        return list(map(int, parts))
-    except ValueError as exc:
-        raise SpecError(f"cannot parse integer list {spec!r}") from exc
-
-
-def parse_group(spec: str) -> AbelianGroup:
-    return AbelianGroup(parse_int_list(spec))
-
-
-def parse_element(G: AbelianGroup, spec: str) -> GroupElement:
-    return G.element(parse_int_list(spec))
+    """argparse type for -g, -x and -y: comma-separated integers, each under
+    the interpreter's digit limit, else a usage error (exit 2)."""
+    return [int(part) for part in spec.split(",")]
 
 
 def positive_int(spec: str) -> int:
@@ -111,8 +92,8 @@ def _emit(
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
-    G = parse_group(args.group)
-    x = parse_element(G, args.element)
+    G = AbelianGroup(args.group)
+    x = G.element(args.element)
     key = quotient_key(G, x, method=args.method)
     payload = {
         "group": [str(d) for d in G.moduli],
@@ -128,9 +109,8 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_autoeq(args: argparse.Namespace) -> int:
-    G = parse_group(args.group)
-    x = parse_element(G, args.x)
-    y = parse_element(G, args.y)
+    G = AbelianGroup(args.group)
+    x, y = G.element(args.x), G.element(args.y)
     if args.oracle:
         # the Aut(G) search's cap is never looser than the keys', so an
         # over-cap group fails here before any key work
@@ -157,7 +137,7 @@ def cmd_autoeq(args: argparse.Namespace) -> int:
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
-    G = parse_group(args.group)
+    G = AbelianGroup(args.group)
     # one row per orbit: (quotient key, size, representative, form count or None)
     if args.oracle:
         partition = oracle.brute_orbits(G, cap=args.cap)
@@ -221,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     grp = argparse.ArgumentParser(add_help=False)
-    grp.add_argument("-g", "--group", required=True, help="cyclic orders, e.g. 2,4,8,8")
+    grp.add_argument("-g", "--group", type=parse_int_list, required=True, help="cyclic orders, e.g. 2,4,8,8")
     brute = argparse.ArgumentParser(add_help=False)
     brute.add_argument(
         "--oracle", action="store_true", help="answer by brute force instead (desk-scale)"
@@ -234,15 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     q = sub.add_parser("quotient", parents=[grp, fmt], help="canonical form of G/<x>")
-    q.add_argument("-x", "--element", required=True, help="coordinates, e.g. 2,1,2,4")
+    q.add_argument("-x", "--element", type=parse_int_list, required=True, help="coordinates, e.g. 2,1,2,4")
     q.add_argument("--method", choices=("fast", "snf"), default="fast")
     q.set_defaults(func=cmd_quotient)
 
     a = sub.add_parser(
         "autoeq", parents=[grp, fmt, brute], help="is some automorphism mapping x to y?"
     )
-    a.add_argument("-x", required=True, help="first element")
-    a.add_argument("-y", required=True, help="second element")
+    a.add_argument("-x", type=parse_int_list, required=True, help="first element")
+    a.add_argument("-y", type=parse_int_list, required=True, help="second element")
     a.set_defaults(func=cmd_autoeq)
 
     o = sub.add_parser("orbits", parents=[grp, fmt, brute], help="list all automorphic orbits")
@@ -261,6 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    # every operand was converted under the limit; lift it only for output
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

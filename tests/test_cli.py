@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from autorbit import cli
+from autorbit import cli, make_group
 from autorbit.errors import FactorizationFailure
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -156,7 +158,7 @@ def test_orbits_json_golden_and_round_trip(capsys):
     assert all(isinstance(s["size"], str) for s in payload["orbits"])
     # round-trip: the printed group re-parses to an equal group
     group_spec = ",".join(payload["group"])
-    assert cli.parse_group(group_spec).moduli == (2, 4)
+    assert make_group(cli.parse_int_list(group_spec)).moduli == (2, 4)
     total = sum(int(s["size"]) for s in payload["orbits"])
     assert total == int(payload["size_total"])
 
@@ -221,8 +223,8 @@ def test_quotient_json_round_trip(capsys):
     assert out == read_golden("quotient_6x4.json")
     payload = json.loads(out)
     element_spec = ",".join(payload["element"])
-    G = cli.parse_group(",".join(payload["group"]))
-    assert cli.parse_element(G, element_spec).coords == (3, 2)
+    G = make_group(cli.parse_int_list(",".join(payload["group"])))
+    assert G.element(cli.parse_int_list(element_spec)).coords == (3, 2)
 
 
 def test_quotient_json_big_integers_are_strings(capsys):
@@ -256,7 +258,18 @@ def test_factor_json(capsys):
 
 
 def test_exit_code_parse_error(capsys):
-    assert run_cli(capsys, "quotient", "-g", "2,x", "-x", "1,1")[0] == 2
+    # argparse converts -g, -x and -y under the interpreter's digit limit
+    # (4300 by default): a bad token, an empty list or an over-long integer
+    # is a usage error that names the option
+    too_long = "1" * 4301
+    for argv, option in (
+        (("quotient", "-g", "2,x", "-x", "1,1"), "-g/--group"),
+        (("quotient", "-g", "2,4", "-x", "1,a"), "-x/--element"),
+        (("autoeq", "-g", "2,4", "-x", "1,0", "-y", ""), "-y"),
+        (("quotient", "-g", "2,4", "-x", f"1,{too_long}"), "-x/--element"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and f"argument {option}: " in err
     assert run_cli(capsys, "quotient", "-g", "0,4", "-x", "1,1") == (
         2,
         "",
@@ -303,8 +316,40 @@ def test_results_print_every_digit(capsys):
     assert f"order: {digits}\n" in runs["orbits", "text"][1]
     assert f"size total: {digits}\n" in runs["orbits", "text"][1]
     # an input integer still obeys the limit: a parse error, exit 2
-    too_long = "1" * (cli.INPUT_DIGITS + 1)
+    too_long = "1" * (sys.get_int_max_str_digits() + 1)
     assert run_cli(capsys, "quotient", "-g", f"2,{too_long}", "-x", "0,0")[:2] == (2, "")
+
+
+def test_main_restores_the_digit_limit_on_error_exits(capsys):
+    argvs = (
+        (("quotient", "-g", "2,4", "-x", "1,2,3"), 3),
+        (("orbits", "-g", "2,4", "--cap", "2"), 5),
+        (("orbits", "-g", "2,4", "--cap", "0"), 2),
+    )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv, expected in argvs:
+            code = run_cli(capsys, *argv)[0]
+            assert (code, sys.get_int_max_str_digits()) == (expected, 640), argv
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def exit_code_list(text):
+    """{code: meaning} from the first 'Exit codes: 0 ..., 1 ..., 5 ....'
+    sentence of a text, Markdown backticks removed."""
+    sentence = re.search(r"Exit codes:(.*?)\.(?:\s|$)", text, re.S).group(1)
+    items = " ".join(sentence.replace("`", "").split()).split(", ")
+    return {int(code): meaning for code, _, meaning in (i.partition(" ") for i in items)}
+
+
+def test_documented_exit_codes_match_the_cli():
+    codes = {v for name, v in vars(cli).items() if name.startswith("EXIT_")}
+    documented = exit_code_list(cli.__doc__)
+    assert set(documented) == codes
+    assert exit_code_list(README.read_text()) == documented
+    assert set(cli.ERROR_EXIT_CODES.values()) <= codes
 
 
 def test_exit_code_arity_mismatch(capsys):
