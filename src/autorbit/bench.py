@@ -2,8 +2,9 @@
 
 The scaling family is C4^n with x = (1, ..., 1) and y = (3, ..., 3), so the
 group exponent stays constant while the rank grows.  `run_scaling` times the
-decision on it with a monotonic clock, a warm-up call and batched trials,
-and `fit_power_law` fits a log-log least-squares exponent to per-rank means.
+decision on it with `timeit`, which turns gc off while it times: a warm-up
+call, one call that sizes the batches, then batched trials.  `fit_power_law`
+fits a log-log least-squares exponent to per-rank means.
 The end-to-end benchmark is `perfbench/`; these helpers serve the
 acceptance tests.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import statistics
-import time
+import timeit
 from typing import Callable, Iterable, Sequence
 
 from .equivalence import are_automorphic
@@ -51,19 +52,12 @@ def c4_instance(rank: int) -> tuple[AbelianGroup, GroupElement, GroupElement]:
 
 def _time_callable(fn: Callable[[], object], trials: int) -> list[float]:
     """Per-call seconds for each trial, batching calls so one trial takes
-    roughly 20 ms."""
-    fn()  # warm-up
-    t0 = time.perf_counter()
-    fn()
-    single = max(time.perf_counter() - t0, 1e-9)
+    roughly 20 ms.  timeit turns gc off while it times."""
+    timer = timeit.Timer(fn)
+    timer.timeit(1)  # warm-up
+    single = max(timer.timeit(1), 1e-9)
     batch = max(1, min(100_000, int(0.02 / single)))
-    out = []
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        for _ in range(batch):
-            fn()
-        out.append((time.perf_counter() - t0) / batch)
-    return out
+    return [t / batch for t in timer.repeat(trials, batch)]
 
 
 def run_scaling(

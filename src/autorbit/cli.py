@@ -8,7 +8,9 @@ once: `--format text|json` on all four subcommands, `-g` on `quotient`,
 operand: `-g`, `-x` and `-y` to integer lists, and a `--cap` and `factor`'s
 `n` to positive integers.  It does so under the interpreter's limit on
 decimal digits (4300 by default), so a malformed operand or an over-long
-integer is a usage error (exit 2) that names its option.  Results go to
+integer is a usage error (exit 2) that names its option.  A list that starts
+with a minus sign takes the `=` form (`-x=-1,0`): argparse reads the `-1,0`
+of `-x -1,0` as an option, so `-x` lacks its operand (exit 2).  Results go to
 stdout, diagnostics to stderr.  Each command builds its JSON payload and its
 text lines once, and `_emit` prints the one that `--format` asks for.  JSON
 output renders unbounded integers as decimal strings so 64-bit consumers
@@ -201,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     grp = argparse.ArgumentParser(add_help=False)
-    grp.add_argument("-g", "--group", type=parse_int_list, required=True, help="cyclic orders, e.g. 2,4,8,8")
+    grp.add_argument("-g", "--group", type=parse_int_list, required=True, help="cyclic orders, e.g. 2,4,8,8; a leading minus needs -g=...")
     brute = argparse.ArgumentParser(add_help=False)
     brute.add_argument(
         "--oracle", action="store_true", help="answer by brute force instead (desk-scale)"
@@ -214,15 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     q = sub.add_parser("quotient", parents=[grp, fmt], help="canonical form of G/<x>")
-    q.add_argument("-x", "--element", type=parse_int_list, required=True, help="coordinates, e.g. 2,1,2,4")
+    q.add_argument("-x", "--element", type=parse_int_list, required=True, help="coordinates, e.g. 2,1,2,4; a leading minus needs -x=-1,0")
     q.add_argument("--method", choices=("fast", "snf"), default="fast")
     q.set_defaults(func=cmd_quotient)
 
     a = sub.add_parser(
         "autoeq", parents=[grp, fmt, brute], help="is some automorphism mapping x to y?"
     )
-    a.add_argument("-x", type=parse_int_list, required=True, help="first element")
-    a.add_argument("-y", type=parse_int_list, required=True, help="second element")
+    a.add_argument("-x", type=parse_int_list, required=True, help="first element; a leading minus needs -x=-1,0")
+    a.add_argument("-y", type=parse_int_list, required=True, help="second element; a leading minus needs -y=-1,0")
     a.set_defaults(func=cmd_autoeq)
 
     o = sub.add_parser("orbits", parents=[grp, fmt, brute], help="list all automorphic orbits")

@@ -124,15 +124,20 @@ class CanonicalGroupKey(Record):
     def from_map(cls, primary: dict[int, Iterable[int]]) -> "CanonicalGroupKey":
         """Build a key from a prime -> exponent-iterable map, dropping zero
         exponents and empty primes and sorting everything canonically.
+        Raises ValueError for a negative exponent.
 
         >>> CanonicalGroupKey.from_map({2: [1, 3, 2], 3: [0]})
         CanonicalGroupKey(parts=((2, (3, 2, 1)),))
         """
         parts = []
         for p in sorted(primary):
-            exps = tuple(sorted((e for e in primary[p] if e > 0), reverse=True))
+            exps = sorted(filter(None, primary[p]), reverse=True)
+            if exps and exps[-1] < 0:
+                raise ValueError(f"exponent must be >= 0, got {exps[-1]}")
             if exps:
-                parts.append((p, exps))
+                # a tuple built from a list is allocated at its exact size;
+                # one built from an iterator can keep the slack it grew by
+                parts.append((p, tuple(exps)))
         return cls(tuple(parts))
 
     @property
@@ -143,10 +148,8 @@ class CanonicalGroupKey(Record):
         return not self.parts
 
     def order(self) -> int:
-        n = 1
-        for p, exps in self.parts:
-            n *= p ** sum(exps)
-        return n
+        """The product of p^(sum of p's exponents) over the primes."""
+        return math.prod(p ** sum(exps) for p, exps in self.parts)
 
     def elementary_divisors(self) -> list[int]:
         """All prime-power cyclic factors, ascending.
@@ -165,16 +168,8 @@ class CanonicalGroupKey(Record):
         >>> CanonicalGroupKey.from_map({2: [2, 1], 3: [1]}).invariant_factors()
         [2, 12]
         """
-        width = max((len(exps) for _, exps in self.parts), default=0)
-        out = []
-        for j in range(width):
-            m = 1
-            for p, exps in self.parts:
-                if j < len(exps):
-                    m *= p ** exps[j]
-            out.append(m)
-        out.reverse()
-        return out
+        powers = ([p**e for e in exps] for p, exps in self.parts)
+        return [math.prod(ms) for ms in itertools.zip_longest(*powers, fillvalue=1)][::-1]
 
     def describe_elementary(self) -> str:
         return format_cyclic(self.elementary_divisors())

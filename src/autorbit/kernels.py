@@ -63,9 +63,11 @@ def snf_diagonal(rows: int, cols: int, entries: Sequence[int]) -> list[int]:
     """Diagonal of the Smith normal form of a rows x cols integer matrix.
 
     Smallest-magnitude pivoting diagonalizes the matrix with unimodular
-    row/column operations; a pairwise gcd/lcm pass then repairs the
-    divisibility chain.  Entries are returned nonnegative, length
-    min(rows, cols), with s_i | s_{i+1} (zeros last).
+    row/column operations.  One pairwise pass then repairs the divisibility
+    chain: for each i < j, (d_i, d_j) becomes (gcd, lcm), skipped when both
+    are zero.  That keeps the product, moves zeros last, and leaves d_i
+    dividing every later entry once row i is done.  Entries are returned
+    nonnegative, length min(rows, cols), with s_i | s_{i+1} (zeros last).
     """
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
@@ -102,16 +104,9 @@ def snf_diagonal(rows: int, cols: int, entries: Sequence[int]) -> list[int]:
             if not dirty:
                 break
     diag = [abs(m[i][i]) for i in range(k)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a == 0 and b == 0:
-                continue
-            if a != 0 and b % a == 0:
-                continue
-            g = math.gcd(a, b)
-            diag[i], diag[i + 1] = g, a * b // g
-            changed = True
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = math.gcd(diag[i], diag[j])
+            if g:
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag

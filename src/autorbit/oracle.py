@@ -36,22 +36,21 @@ from .groups import (
 
 def aut_order_homocyclic(p: int, m: int, n: int) -> int:
     """|Aut| of the homocyclic p-group (C_{p^m})^n, by the closed form
-    p^((m-1) n^2) * prod_{j=0}^{n-1} (p^n - p^j).  Raises ValueError when p
-    is not prime or m or n is below 1.
+    p^((m-1) n^2) * prod_{j=0}^{n-1} (p^n - p^j).  Raises TypeError for an
+    argument that is not an integer, and ValueError when p is not prime or m
+    or n is below 1.
 
     >>> aut_order_homocyclic(2, 1, 2)
     6
     >>> aut_order_homocyclic(2, 2, 2)
     96
     """
+    p, m, n = map(operator.index, (p, m, n))
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    out = p ** ((m - 1) * n * n)
-    for j in range(n):
-        out *= p**n - p**j
-    return out
+    return p ** ((m - 1) * n * n) * math.prod(p**n - p**j for j in range(n))
 
 
 def _all_coords(moduli: tuple[int, ...]) -> list[tuple[int, ...]]:

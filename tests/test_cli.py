@@ -286,6 +286,20 @@ def test_exit_code_parse_error(capsys):
         assert (code, out) == (2, "") and "argument n" in err
 
 
+def test_leading_minus_takes_the_equals_form(capsys):
+    # argparse reads "-1,0" after -x as an option, so that form is a usage
+    # error; -x=-1,0 and -y=-1,... parse, and print as their residues
+    for argv, reduced in (
+        (("quotient", "-g", "4,4", "-x=-1,0"), ("quotient", "-g", "4,4", "-x", "3,0")),
+        (("autoeq", "-g", "4,4", "-x=-1,0", "-y=-1,2"), ("autoeq", "-g", "4,4", "-x", "3,0", "-y", "3,2")),
+        (("autoeq", "-g", "2,4", "-x", "1,0", "-y=-2,-3"), ("autoeq", "-g", "2,4", "-x", "1,0", "-y", "0,1")),
+    ):
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, *argv, "--format", fmt) == run_cli(capsys, *reduced, "--format", fmt)
+    code, out, err = run_cli(capsys, "quotient", "-g", "4,4", "-x", "-1,0")
+    assert (code, out) == (2, "") and "argument -x/--element: expected one argument" in err
+
+
 def test_results_print_every_digit(capsys):
     # |C2^2200| = 2^2200 has 663 digits, past a limit of 640 on int-to-str
     # conversion; each command builds its payload in both formats, so all six

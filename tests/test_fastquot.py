@@ -47,6 +47,36 @@ def test_invalid_valuation_rejected():
         p_group_quotient([0, 1], [2])
 
 
+@pytest.mark.parametrize(
+    "fs, es, error",
+    [
+        ([0.5], [1], TypeError),
+        ([0], [1.5], TypeError),
+        ([1, 0], [2, 2.0], TypeError),
+    ],
+)
+def test_p_group_quotient_rejects_non_integers(fs, es, error):
+    # [0.5], [1] used to answer [0.5], and [0], [1.5] the empty list
+    with pytest.raises(error):
+        p_group_quotient(fs, es)
+
+
+@pytest.mark.parametrize(
+    "fs, es, error",
+    [
+        ([0.5], [1], TypeError),
+        ([0], [1.5], TypeError),
+        ([3], [1], InvalidValuation),
+        ([0, 4], [3, 3], InvalidValuation),
+        ([-1], [2], InvalidValuation),
+    ],
+)
+def test_canonical_points_rejects_bad_values(fs, es, error):
+    # [0.5], [1] used to give ((0.5, 1),) and [3], [1] the empty tuple
+    with pytest.raises(error):
+        canonical_points(fs, es)
+
+
 def test_quotient_worked_example():
     G = make_group([2, 4, 8, 8])
     assert quotient(G, G.element([2, 1, 2, 4])).primary_parts == {2: (3, 3, 1)}

@@ -171,6 +171,41 @@ def test_invariant_factors_divisibility_chain():
         assert math.prod(chain) == G.order
 
 
+def _valuation(p, n):
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize(
+    "primary",
+    [{}, {2: [3, 1, 1], 3: [2], 5: [1, 1]}, {3: [1]}, {2: [1], 7: [4, 4, 2, 1], 11: [2, 2]}],
+)
+def test_invariant_factors_match_their_definition(primary):
+    # primes carry different numbers of exponents; {} is the trivial key
+    key = CanonicalGroupKey.from_map(primary)
+    factors = key.invariant_factors()
+    for a, b in zip(factors, factors[1:]):
+        assert b % a == 0
+    assert math.prod(factors) == key.order() == math.prod(p**e for p, es in primary.items() for e in es)
+    assert len(factors) == max(map(len, primary.values()), default=0)
+    # the j-th largest factor's p-valuation is p's j-th largest exponent
+    for p, es in primary.items():
+        largest_first = sorted(es, reverse=True) + [0] * len(factors)
+        assert [_valuation(p, m) for m in reversed(factors)] == largest_first[: len(factors)]
+
+
+@pytest.mark.parametrize(
+    "primary", [{2: [-1, 2]}, {3: [-2]}, {2: [0, -1], 3: [1]}, {2: [1], 5: [2, -3, 0]}]
+)
+def test_from_map_rejects_negative_exponents(primary):
+    # {2: [-1, 2]} used to give C4
+    with pytest.raises(ValueError, match="exponent must be >= 0"):
+        CanonicalGroupKey.from_map(primary)
+
+
 def test_to_invariant_coordinates_example():
     G = make_group([6, 4])
     assert to_invariant_coordinates(G, G.element([3, 2])) == (1, 6)

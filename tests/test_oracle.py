@@ -43,6 +43,13 @@ def test_homocyclic_formula_matches_enumeration(p, m, n, expected):
     assert len(enumerate_automorphisms(G)) == expected
 
 
+@pytest.mark.parametrize("args", [(2, 1.5, 2), (2, 1, 2.0), (2.0, 1, 2)])
+def test_aut_order_homocyclic_rejects_non_integers(args):
+    # (2, 1.5, 2) used to answer 24.0
+    with pytest.raises(TypeError):
+        aut_order_homocyclic(*args)
+
+
 def test_aut_order_homocyclic_trivial_case():
     assert aut_order_homocyclic(2, 1, 1) == 1
     with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 """Source checks over every module of the package."""
 
 import ast
+import importlib
+import operator
+import re
 import runpy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "autorbit"
 SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -176,3 +180,47 @@ def test_only_check_cap_raises_capacity_exceeded():
     for path in sorted(PACKAGE.rglob("*.py")):
         found += capacity_raises(str(path.relative_to(PACKAGE)), path.read_text())
     assert [(f.partition(":")[0], f.partition(" ")[2]) for f in found] == [("errors.py", "check_cap")], found
+
+
+def dotted_names(text: str) -> list[str]:
+    """Each dotted name the text gives under a module of the package, such as
+    `orbits._count_from` or `autorbit.oracle.EndomorphismTable.apply` (the
+    package prefix is optional and dropped), sorted; a file name such as
+    `bench.py` is not one."""
+    modules = "|".join(sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_")))
+    found = re.findall(rf"\b({modules})((?:\.\w+)+)", text)
+    return sorted({module + attrs for module, attrs in found if attrs != ".py"})
+
+
+def unresolved(names: list[str]) -> list[str]:
+    """The names whose module lacks the attribute path after the first dot."""
+    missing = []
+    for name in names:
+        module, _, attrs = name.partition(".")
+        try:
+            operator.attrgetter(attrs)(importlib.import_module(f"autorbit.{module}"))
+        except AttributeError:
+            missing.append(name)
+    return missing
+
+
+def test_readme_check_finds_a_missing_name():
+    text = (
+        "Use `orbits._count_from`, `autorbit.errors.check_cap` and\n"
+        "`oracle.EndomorphismTable.apply`; `orbits._gone_helper` was removed,\n"
+        "`oracle.EndomorphismTable.gone` too. See bench.py and perfbench.inputs.\n"
+    )
+    names = dotted_names(text)
+    assert names == [
+        "errors.check_cap",
+        "oracle.EndomorphismTable.apply",
+        "oracle.EndomorphismTable.gone",
+        "orbits._count_from",
+        "orbits._gone_helper",
+    ]
+    assert unresolved(names) == ["oracle.EndomorphismTable.gone", "orbits._gone_helper"]
+
+
+def test_every_name_readme_gives_under_a_module_exists():
+    names = dotted_names(README.read_text())
+    assert names and unresolved(names) == []
