@@ -11,6 +11,7 @@ readers and writers.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from functools import lru_cache
 
@@ -36,7 +37,9 @@ DEFAULT_RHO_RESTARTS = 24
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic below ~3.3e24, 40-round probabilistic above."""
+    """Primality test: deterministic below ~3.3e24, 40-round probabilistic
+    above.  Raises TypeError for an n that is not an integer."""
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _DETERMINISTIC_WITNESSES:
@@ -168,9 +171,11 @@ def factorize(
     {2: 20, 5: 20}
 
     Raises FactorizationFailure if a composite cofactor survives the rho
-    budget (unreachable in practice below ~10**20 with the defaults), and
-    ValueError for n < 1 or a budget below 1.
+    budget (unreachable in practice below ~10**20 with the defaults),
+    TypeError for an n that is not an integer, and ValueError for n < 1 or a
+    budget below 1.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if max_rho_iterations < 1 or max_rho_restarts < 1:

@@ -4,7 +4,8 @@ The scaling family is C4^n with x = (1, ..., 1) and y = (3, ..., 3), so the
 group exponent stays constant while the rank grows.  `run_scaling` times the
 decision on it with `timeit`, which turns gc off while it times: a warm-up
 call, one call that sizes the batches, then batched trials.  `fit_power_law`
-fits a log-log least-squares exponent to per-rank means.
+fits a log-log least-squares exponent to per-rank means with
+`statistics.linear_regression`.
 The end-to-end benchmark is `perfbench/`; these helpers serve the
 acceptance tests.
 
@@ -95,16 +96,8 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerFit:
     n0, t0 = points[0]
     xs = [math.log(n / n0) for n, _ in points]
     ys = [math.log(t / t0) for _, t in points]
-    mx = statistics.fmean(xs)
-    my = statistics.fmean(ys)
-    sxx = sum((a - mx) ** 2 for a in xs)
-    sxy = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    syy = sum((b - my) ** 2 for b in ys)
-    r2 = 1.0 if syy == 0 else 1.0 - sum(
-        (b - (intercept + slope * a)) ** 2 for a, b in zip(xs, ys)
-    ) / syy
+    slope, intercept = statistics.linear_regression(xs, ys)
+    r2 = 1.0 if len(set(ys)) == 1 else statistics.correlation(xs, ys) ** 2
     coefficient = math.exp(intercept + math.log(t0) - slope * math.log(n0))
     return PowerFit(coefficient, slope, r2)
 

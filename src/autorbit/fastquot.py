@@ -14,12 +14,12 @@ the quotient (the carry term max(0, e - f) vanishes and min(f, e) = e).
 
 from __future__ import annotations
 
-from operator import index, sub
+from operator import sub
 from typing import Sequence
 
 from . import kernels
 from .arith import nu
-from .errors import InvalidValuation
+from .errors import check_valuations
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, check_elements
 
 
@@ -57,18 +57,12 @@ def p_group_quotient(fs: Sequence[int], es: Sequence[int]) -> list[int]:
     """Exponents of a p-group / <element>, descending, zeros dropped.
 
     ``fs`` and ``es`` are position-aligned valuations and component
-    exponents.  Raises TypeError for a value that is not an integer,
-    ValueError for an exponent below 1 or lists of unequal length, and
-    InvalidValuation for a valuation outside [0, e].
+    exponents; errors.check_valuations states the errors.
 
     >>> p_group_quotient([0, 1, 1, 2], [2, 1, 3, 3])
     [3, 3, 1]
     """
-    for f, e in zip(map(index, fs), map(index, es)):
-        if e < 1:
-            raise ValueError(f"component exponent must be >= 1, got {e}")
-        if f < 0 or f > e:
-            raise InvalidValuation(f"valuation {f} outside [0, {e}]")
+    check_valuations(fs, es)
     return sorted(filter(None, kernels.pgroup_sweep(fs, es)), reverse=True)
 
 
@@ -76,19 +70,16 @@ def canonical_points(fs: Sequence[int], es: Sequence[int]) -> tuple[tuple[int, i
     """The non-dominated (valuation, exponent) points of a p-group element,
     which name its automorphic orbit.  Sorted by (f, f - e), a point is kept
     when its gap e - f exceeds every earlier gap, so zero coordinates and
-    dominated or repeated points drop out.  Raises TypeError for a value that
-    is not an integer, InvalidValuation for a valuation outside [0, e], and
-    ValueError for unequal lengths.
+    dominated or repeated points drop out.  errors.check_valuations states
+    the errors.
 
     >>> canonical_points([0, 1, 1, 2, 3], [1, 3, 3, 3, 3])
     ((0, 1), (1, 3))
     """
-    for f, e in zip(map(index, fs), map(index, es)):
-        if f < 0 or f > e:
-            raise InvalidValuation(f"valuation {f} outside [0, {e}]")
+    check_valuations(fs, es)
     points = []
     low = 0  # the least f - e so far; a point is kept when its f - e is lower
-    for f, d, e in sorted(zip(fs, map(sub, fs, es), es, strict=True)):
+    for f, d, e in sorted(zip(fs, map(sub, fs, es), es)):
         if d < low:
             low = d
             points.append((f, e))

@@ -124,7 +124,8 @@ class CanonicalGroupKey(Record):
     def from_map(cls, primary: dict[int, Iterable[int]]) -> "CanonicalGroupKey":
         """Build a key from a prime -> exponent-iterable map, dropping zero
         exponents and empty primes and sorting everything canonically.
-        Raises ValueError for a negative exponent.
+        Raises TypeError for an exponent that is not an integer and
+        ValueError for a negative one.
 
         >>> CanonicalGroupKey.from_map({2: [1, 3, 2], 3: [0]})
         CanonicalGroupKey(parts=((2, (3, 2, 1)),))
@@ -132,6 +133,9 @@ class CanonicalGroupKey(Record):
         parts = []
         for p in sorted(primary):
             exps = sorted(filter(None, primary[p]), reverse=True)
+            # one C-level pass: a float or other non-integer anywhere makes
+            # the sum a non-integer, which index rejects
+            operator.index(sum(exps))
             if exps and exps[-1] < 0:
                 raise ValueError(f"exponent must be >= 0, got {exps[-1]}")
             if exps:

@@ -47,13 +47,12 @@ loudly with CapacityExceeded rather than hang.
 from __future__ import annotations
 
 import math
-import operator
 from itertools import compress, product, repeat, tee
 from operator import contains, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
 from .arith import crt, is_prime
-from .errors import DEFAULT_CAP, DimensionMismatch, InvalidValuation, check_cap
+from .errors import DEFAULT_CAP, DimensionMismatch, check_cap, check_valuations
 from .fastquot import p_group_quotient, sylow_decompose
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, Record
 
@@ -69,8 +68,8 @@ class ReducedForm(Record):
         """The concrete element of G this reduced form names.
 
         Raises DimensionMismatch unless the form's primes, in order, are G's
-        primes and each per-prime arity is G's, InvalidValuation for an
-        exponent b outside [0, e], and TypeError for a non-integral b.
+        primes and each per-prime arity is G's; errors.check_valuations
+        states the errors for each exponent b against its component's e.
         """
         primes = tuple(p for p, _ in self.parts)
         if primes != G.primes():
@@ -82,10 +81,8 @@ class ReducedForm(Record):
                 raise DimensionMismatch(
                     f"expected {len(triples)} exponents for prime {p}, got {len(bs)}"
                 )
-            for (pos, e, pe), b in zip(triples, bs):
-                b = operator.index(b)
-                if b < 0 or b > e:
-                    raise InvalidValuation(f"valuation {b} outside [0, {e}]")
+            check_valuations(bs, [e for _, e, _ in triples])
+            for (pos, _, pe), b in zip(triples, bs):
                 congruences[pos].append((pe, pow(p, b) % pe))
         return GroupElement(G, tuple(crt(c) for c in congruences))
 
@@ -279,16 +276,16 @@ def p_group_orbits(
     closed form, and expands its reduced forms in mixed-radix (odometer)
     order; each orbit's key is the quotient by its first form.  Output order
     is first occurrence in odometer order.  Raises ValueError when p is not
-    prime, an exponent is below 1 or the cap is below 1, and
-    CapacityExceeded when the reduced forms exceed the cap.
+    prime or the cap is below 1, the errors of errors.check_valuations for
+    the exponents, and CapacityExceeded when the reduced forms exceed the cap.
 
     >>> [(o.quotient_key.describe_invariant(), o.size) for o in p_group_orbits(2, (2,))]
     [('C1', 2), ('C2', 1), ('C4', 1)]
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if any(e < 1 for e in exponents):
-        raise ValueError("component exponents must be >= 1")
+    # every valuation lies in [0, e], so the exponents as valuations pass
+    check_valuations(exponents, exponents)
     check_cap(cap, (e + 1 for e in exponents), "reduced forms")
     return _summaries([_p_orbits(p, exponents)])
 

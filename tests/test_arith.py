@@ -42,6 +42,20 @@ def test_factorize_rejects_nonpositive():
         factorize(-6)
 
 
+# 8.0 used to give {2: 3}, and 2000006.0 and 6.5 a bare TypeError from pow
+@pytest.mark.parametrize("n", [8.0, 2000006.0, 6.5])
+def test_factorize_rejects_non_integers(n):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        factorize(n)
+
+
+@pytest.mark.parametrize("n", [7.0, 2.5, 1e30])
+def test_is_prime_rejects_non_integers(n):
+    # 7.0 used to be prime
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        is_prime(n)
+
+
 def test_factorize_large_semiprime_via_rho():
     p, q = 1_000_000_007, 1_000_000_009
     assert is_prime(p) and is_prime(q)

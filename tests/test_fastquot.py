@@ -9,6 +9,7 @@ from autorbit.equivalence import quotient_key
 from autorbit.fastquot import canonical_points, p_group_quotient, quotient, sylow_decompose
 from autorbit.groups import CanonicalGroupKey, element_order, make_group
 from autorbit.oracle import brute_quotient_key
+from autorbit.orbits import ReducedForm, p_group_orbits
 from autorbit.snf import quotient_by_snf
 
 pair_lists = st.lists(
@@ -68,6 +69,55 @@ def test_canonical_points_rejects_bad_values(fs, es, error):
     # [0.5], [1] used to give ((0.5, 1),) and [3], [1] the empty tuple
     with pytest.raises(error):
         canonical_points(fs, es)
+
+
+# One bad (valuation, exponent) pair per case: which value is bad, the pair,
+# and the error every per-prime entry point that takes that value must raise.
+BAD_PAIRS = {
+    "float-valuation": ("valuation", [1.0], [2], TypeError),
+    "float-exponent": ("exponent", [1], [2.0], TypeError),
+    "exponent-zero": ("exponent", [0], [0], ValueError),
+    "valuation-above-e": ("valuation", [3], [2], InvalidValuation),
+    "negative-valuation": ("valuation", [-1], [2], InvalidValuation),
+}
+
+# Each entry point, called on (fs, es), and the values it takes from its
+# caller: realize reads its exponents from the group, and p_group_orbits takes
+# no valuations.  cap=1 is below p_group_orbits' count of reduced forms.
+PER_PRIME = {
+    "p_group_quotient": (p_group_quotient, {"valuation", "exponent"}),
+    "canonical_points": (canonical_points, {"valuation", "exponent"}),
+    "ReducedForm.realize": (
+        lambda fs, es: ReducedForm(((2, tuple(fs)),)).realize(make_group([2**e for e in es])),
+        {"valuation"},
+    ),
+    "p_group_orbits": (lambda fs, es: p_group_orbits(2, tuple(es), cap=1), {"exponent"}),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        pytest.param(entry, case, id=f"{entry}-{case}")
+        for entry, (_, takes) in PER_PRIME.items()
+        for case, (bad, *_) in BAD_PAIRS.items()
+        if bad in takes
+    ],
+)
+def test_per_prime_entry_points_share_one_contract(entry, case):
+    # canonical_points([0], [0]) used to answer (), and p_group_orbits(2,
+    # (2.0,), cap=1) raised CapacityExceeded before any type check
+    _, fs, es, error = BAD_PAIRS[case]
+    with pytest.raises(Exception) as caught:
+        PER_PRIME[entry][0](fs, es)
+    assert type(caught.value) is error, caught.value
+
+
+@pytest.mark.parametrize("entry", [p_group_quotient, canonical_points])
+def test_per_prime_entry_points_reject_one_shot_iterators(entry):
+    # the check used up the iterators, so these used to answer [] and ()
+    with pytest.raises(TypeError):
+        entry(iter([0, 1]), iter([2, 3]))
 
 
 def test_quotient_worked_example():

@@ -206,6 +206,13 @@ def test_from_map_rejects_negative_exponents(primary):
         CanonicalGroupKey.from_map(primary)
 
 
+@pytest.mark.parametrize("primary", [{2: [1.5]}, {2: [2.0]}, {2: [1, 2], 3: [1, 0.5]}])
+def test_from_map_rejects_non_integral_exponents(primary):
+    # {2: [1.5]} used to give the parts ((2, (1.5,)),), named "C2.828..."
+    with pytest.raises(TypeError):
+        CanonicalGroupKey.from_map(primary)
+
+
 def test_to_invariant_coordinates_example():
     G = make_group([6, 4])
     assert to_invariant_coordinates(G, G.element([3, 2])) == (1, 6)

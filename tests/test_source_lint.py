@@ -125,11 +125,12 @@ def test_every_import_is_used_exported_or_traced():
     assert found == []
 
 
-def capacity_raises(name: str, source: str) -> list[str]:
-    """'name:line scope' for each statement that raises CapacityExceeded,
+def exception_raises(name: str, source: str, exception: str) -> list[str]:
+    """'name:line scope' for each statement that raises the named exception,
     by name or as an attribute, where scope is the enclosing function's
-    qualified name (<module> at top level).  The capacity policy lives in one
-    check, so the package should have exactly one."""
+    qualified name (<module> at top level).  A policy that lives in one
+    check, such as capacity or the per-prime valuation contract, should have
+    exactly one."""
     found = []
     stack = [(ast.parse(source), "<module>")]
     while stack:
@@ -137,7 +138,7 @@ def capacity_raises(name: str, source: str) -> list[str]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Raise) and child.exc is not None:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if getattr(exc, "id", getattr(exc, "attr", None)) == "CapacityExceeded":
+                if getattr(exc, "id", getattr(exc, "attr", None)) == exception:
                     found.append((child.lineno, scope))
             if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
                 stack.append((child, f"{scope}.{child.name}".removeprefix("<module>.")))
@@ -167,7 +168,7 @@ def test_lint_finds_every_capacity_raise():
         "\n"
         "raise CapacityExceeded()\n"
     )
-    assert capacity_raises("sample.py", source) == [
+    assert exception_raises("sample.py", source, "CapacityExceeded") == [
         "sample.py:5 check_cap",
         "sample.py:9 inline",
         "sample.py:13 Walker.walk",
@@ -175,11 +176,43 @@ def test_lint_finds_every_capacity_raise():
     ]
 
 
-def test_only_check_cap_raises_capacity_exceeded():
+def package_raises(exception: str) -> list[tuple[str, str]]:
+    """(file, scope) for each raise of the named exception in the package."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        found += capacity_raises(str(path.relative_to(PACKAGE)), path.read_text())
-    assert [(f.partition(":")[0], f.partition(" ")[2]) for f in found] == [("errors.py", "check_cap")], found
+        found += exception_raises(str(path.relative_to(PACKAGE)), path.read_text(), exception)
+    return [(f.partition(":")[0], f.partition(" ")[2]) for f in found]
+
+
+def test_only_check_cap_raises_capacity_exceeded():
+    assert package_raises("CapacityExceeded") == [("errors.py", "check_cap")]
+
+
+def test_lint_finds_every_invalid_valuation_raise():
+    source = (
+        "from . import errors\n"
+        "from .errors import InvalidValuation\n"
+        "\n"
+        "def check_valuations(fs, es):\n"
+        "    raise InvalidValuation('valuation outside [0, e]')\n"
+        "\n"
+        "class ReducedForm:\n"
+        "    def realize(self, G):\n"
+        "        for b in self.bs:\n"
+        "            if b < 0:\n"
+        "                raise errors.InvalidValuation(f'valuation {b}')\n"
+        "\n"
+        "def capped(cap):\n"
+        "    raise errors.CapacityExceeded(cap)\n"
+    )
+    assert exception_raises("sample.py", source, "InvalidValuation") == [
+        "sample.py:5 check_valuations",
+        "sample.py:11 ReducedForm.realize",
+    ]
+
+
+def test_only_check_valuations_raises_invalid_valuation():
+    assert package_raises("InvalidValuation") == [("errors.py", "check_valuations")]
 
 
 def dotted_names(text: str) -> list[str]:
