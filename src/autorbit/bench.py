@@ -82,7 +82,8 @@ def method_points(rows: Sequence[BenchRow], method: str) -> list[tuple[int, floa
 
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerFit:
-    """Least-squares fit of t = c * n^a on log-log axes.
+    """Least-squares fit of t = c * n^a on log-log axes.  Raises ValueError
+    for fewer than two points or for a point whose n or t is not positive.
 
     >>> fit = fit_power_law([(n, 0.5 * n**1.25) for n in (2, 4, 8, 16)])
     >>> round(fit.exponent, 6), round(fit.coefficient, 6)
@@ -90,6 +91,9 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerFit:
     """
     if len(points) < 2:
         raise ValueError("need at least two points to fit")
+    for n, t in points:
+        if not (n > 0 and t > 0):
+            raise ValueError(f"cannot fit the point ({n}, {t}): n and t must be positive")
     # Logs are taken of ratios to the first point.  For data proportional to
     # n the two ratio lists are then bit-identical and the slope is exactly
     # 1.0; logs of the raw values round apart and can fit 0.9999999999999998.

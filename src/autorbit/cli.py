@@ -114,8 +114,8 @@ def cmd_autoeq(args: argparse.Namespace) -> int:
     G = AbelianGroup(args.group)
     x, y = G.element(args.x), G.element(args.y)
     if args.oracle:
-        # the Aut(G) search's cap is never looser than the keys', so an
-        # over-cap group fails here before any key work
+        # the closure's cap, |G|^rank, is never looser than the keys' |G|,
+        # so an over-cap group fails here before any key work
         equivalent = oracle.is_automorphic_image_bruteforce(G, x, y, cap=args.cap)
         kx, ky = (oracle.brute_quotient_key(G, z, cap=args.cap) for z in (x, y))
     else:

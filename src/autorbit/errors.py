@@ -2,8 +2,9 @@
 
 ``check_cap``: every capped entry point (the orbit builders in ``orbits`` and
 the brute-force routines in ``oracle``) calls it before any costly or cached
-work, and nothing else raises CapacityExceeded.  A cap below 1 is a
-ValueError; DEFAULT_CAP is every entry point's default.
+work, and nothing else raises CapacityExceeded.  A cap that is not an
+integer is a TypeError and a cap below 1 a ValueError; DEFAULT_CAP is every
+entry point's default.
 
 ``check_valuations``: every entry point that takes per-prime (valuation,
 exponent) pairs (``fastquot.p_group_quotient``, ``fastquot.canonical_points``,
@@ -47,10 +48,11 @@ class CapacityExceeded(AutorbitError):
 
 
 def check_cap(cap: int, counts: Iterable[int], what: str) -> None:
-    """ValueError for a cap below 1, then CapacityExceeded as soon as the
-    running product of the lazily read counts of `what` passes the cap.  The
-    message names `what` and the cap, never the product, which may be too
-    long to print."""
+    """TypeError for a cap that is not an integer, ValueError for a cap below
+    1, then CapacityExceeded as soon as the running product of the lazily
+    read counts of `what` passes the cap.  The message names `what` and the
+    cap, never the product, which may be too long to print."""
+    cap = index(cap)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     for total in accumulate(counts, mul):

@@ -1,22 +1,28 @@
-"""Brute-force ground truth: exhaustive automorphism tables, orbit partitions,
-and quotient identification by torsion counts.
+"""Brute-force ground truth: automorphism orbits by closure, exhaustive
+automorphism tables, and quotient identification by torsion counts.
 
 Everything here works by direct enumeration over group elements, with no
 Smith normal form and no valuation sweeps, so it is an independent check of
-the production paths.  Aut(G) is found by a depth-first search, a plain
-recursion over the generators' images, that keeps an image only while the
-rows chosen so far stay independent mod every prime (the Burnside basis
-theorem).  An element's orbit is its images under those tables; since an
-image depends only on the generators where the element's coordinates are
-nonzero, each distinct projection of the tables onto that support is applied
-once.  It is desk-scale machinery: every entry point calls errors.check_cap
-before it builds or fetches anything, bounding the Aut(G) search by |G|^rank
-(the running product of rank copies of |G|) and the quotient keys by |G|.
-The tables are cached by presentation alone, so a call with another cap
-reuses them.  The decision answers elements of different orders after the
-cap check and before any table is fetched.  It is first-class (exposed on
-the CLI), not test-only code, since the naive iterate-over-Aut(G) decision
-procedure is itself a baseline worth comparing against.
+the production paths.  An element's orbit is its closure under elementary
+automorphisms written in the given presentation: for each prime p and
+coordinate i, the scalings of i's p-part by a generating set of the units
+mod p^e, and the transvections that add a multiple of another coordinate's
+p-part to it (Hillar & Rhea, Automorphisms of finite abelian groups, Amer.
+Math. Monthly 114, 2007).  These generate Aut(G), so a breadth-first walk
+from x along them reaches exactly x's orbit, in O(|orbit| x generators)
+work; the generator list is cached by presentation.  Aut(G) itself is found
+by a depth-first search, a plain recursion over the generators' images,
+that keeps an image only while the rows chosen so far stay independent mod
+every prime (the Burnside basis theorem); those tables serve
+enumerate_automorphisms and the tests.  It is desk-scale machinery: every
+entry point calls errors.check_cap before it builds or fetches anything,
+bounding the orbit routes and the Aut(G) search by |G|^rank (the running
+product of rank copies of |G|) and the quotient keys by |G|.  The cached
+generators and tables are keyed by presentation alone, so a call with
+another cap reuses them.  The decision answers elements of different orders
+after the cap check and before any closure.  It is first-class (exposed on
+the CLI), not test-only code, since the naive closure decision procedure is
+itself a baseline worth comparing against.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import operator
 from functools import lru_cache
 from typing import Iterator
 
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, nu
 from .errors import DEFAULT_CAP, check_cap
 from .groups import (
     AbelianGroup, CanonicalGroupKey, GroupElement, Record, check_elements, element_order
@@ -87,23 +93,67 @@ def _apply(coords, images, moduli) -> tuple[int, ...]:
     return tuple(a % d for a, d in zip(acc, moduli))
 
 
-def _images(coords, tables, moduli) -> Iterator[tuple[int, ...]]:
-    """The images of the element with these coordinates under the tables.
-    An image depends only on the generators where the coordinates are
-    nonzero, so the tables are projected onto those generators and each
-    distinct projection is applied once, lazily."""
-    support = [i for i, c in enumerate(coords) if c]
-    if not support:
-        return iter((coords,))
-    if len(support) == len(coords):
-        # the tables are distinct, so projecting them would merge none
-        return (_apply(coords, images, moduli) for images in tables)
-    projected = set(map(operator.itemgetter(*support), tables))
-    if len(support) == 1:
-        # itemgetter of a single index returns the image, not a 1-tuple
-        projected = {(img,) for img in projected}
-    nonzero = [coords[i] for i in support]
-    return (_apply(nonzero, images, moduli) for images in projected)
+def _unit_generators(p: int, e: int) -> list[int]:
+    """A generating set of the units mod p^e: one primitive root for odd p,
+    -1 mod 4, -1 and 5 mod 2^e for e >= 3, and none mod 2."""
+    q = p**e
+    if p == 2:
+        return [q - 1, 5][: min(e - 1, 2)]
+    phi = q - q // p
+    cofactors = [phi // r for r in factorize(phi)]
+    return [next(g for g in itertools.count(2) if g % p and all(pow(g, c, q) != 1 for c in cofactors))]
+
+
+@lru_cache(maxsize=8)
+def _generators(moduli: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """Elementary automorphisms that generate Aut(G), each as (i, j, m, d):
+    the map that replaces coordinate i by (c_i + m * c_j) mod d, with d the
+    modulus of i.  For each prime p and coordinate i with p^e exactly dividing
+    d, let u be the CRT idempotent of i's p-part (u = 1 mod p^e, u = 0 mod
+    d / p^e).  A scaling (j = i) multiplies the p-part by a unit generator g
+    and fixes the rest, m = (g - 1) u.  A transvection adds k c_j for each
+    other coordinate j whose modulus p divides, to the power f, with
+    k = p^max(0, e - f) u, which is well defined since p^f k and the other
+    primes' parts of d_j k vanish mod d.  Swaps of equal-exponent components
+    are products of these, so none is listed."""
+    gens = []
+    for i, d in enumerate(moduli):
+        for p, e in factorize(d).items():
+            q = p**e
+            rest = d // q
+            u = rest * pow(rest, -1, q) % d
+            gens.extend((i, i, (g - 1) * u % d, d) for g in _unit_generators(p, e))
+            gens.extend(
+                (i, j, p ** max(0, e - nu(p, dj)) * u % d, d)
+                for j, dj in enumerate(moduli)
+                if j != i and dj % p == 0
+            )
+    return tuple(gens)
+
+
+def _neighbours(coords: tuple[int, ...], gens) -> list[tuple[int, ...]]:
+    """One closure step: the images of coords under the generators whose
+    source coordinate is nonzero (the others fix it)."""
+    return [
+        coords[:i] + ((coords[i] + m * coords[j]) % d,) + coords[i + 1:]
+        for i, j, m, d in gens
+        if coords[j]
+    ]
+
+
+def _closure(start: tuple[int, ...], gens) -> Iterator[tuple[int, ...]]:
+    """The orbit of start under the group the generators generate, breadth
+    first and each element once, start first."""
+    seen = {start}
+    queue = [start]
+    yield start
+    # the loop reads the elements appended while it runs
+    for coords in queue:
+        for img in _neighbours(coords, gens):
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+                yield img
 
 
 def _extend(found, levels, i, prefix, spans) -> None:
@@ -225,43 +275,40 @@ def enumerate_automorphisms(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[End
 def is_automorphic_image_bruteforce(
     G: AbelianGroup, x: GroupElement, y: GroupElement, cap: int = DEFAULT_CAP
 ) -> bool:
-    """Decide phi(x) == y for some automorphism by searching all of Aut(G).
+    """Decide phi(x) == y for some automorphism by walking x's orbit.
 
-    The naive baseline: it enumerates every automorphism table, projects the
-    tables onto the generators where x's coordinates are nonzero, and compares
-    y with the image of x under each distinct projection until one matches.
-    It checks the elements, then the cap (|G|^rank), then the orders, and only
-    then fetches the tables: elements of different orders are answered
-    without building any table, and the cap still applies to every pair.
-    Raises DimensionMismatch or ForeignElement for an element not of G,
-    ValueError for a cap below 1 and CapacityExceeded over the cap.
+    The naive baseline: it walks the closure of x under the elementary
+    automorphisms breadth first and stops as soon as it reaches y.  It checks
+    the elements, then the cap (|G|^rank), then the orders, and only then
+    starts the walk: elements of different orders are answered without any
+    closure step, and the cap still applies to every pair.  Raises
+    DimensionMismatch or ForeignElement for an element not of G, ValueError
+    for a cap below 1 and CapacityExceeded over the cap.
     """
     check_elements(G, x, y)
     check_cap(cap, itertools.repeat(G.order, G.rank), "automorphism search space |G|^rank")
     if element_order(x) != element_order(y):
         return False
-    return y.coords in _images(x.coords, _raw_automorphisms(G.moduli), G.moduli)
+    return y.coords in _closure(x.coords, _generators(G.moduli))
 
 
 def brute_orbits(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[frozenset[GroupElement]]:
     """Orbit partition of the natural Aut(G)-action.  Each element not yet
-    placed starts an orbit: its images under every automorphism, one per
-    distinct projection of the tables onto its support (the generators where
-    its coordinates are nonzero).
+    placed, in the odometer order of G.elements(), starts an orbit: its
+    closure under the elementary automorphisms.  The cap bounds |G|^rank.
 
     >>> from .groups import make_group
     >>> sorted(len(o) for o in brute_orbits(make_group([4])))
     [1, 1, 2]
     """
     check_cap(cap, itertools.repeat(G.order, G.rank), "automorphism search space |G|^rank")
-    tables = _raw_automorphisms(G.moduli)
-    moduli = G.moduli
+    gens = _generators(G.moduli)
     orbits = []
     placed = set()
-    for start in _all_coords(moduli):
+    for start in _all_coords(G.moduli):
         if start in placed:
             continue
-        orbit = set(_images(start, tables, moduli))
+        orbit = set(_closure(start, gens))
         placed |= orbit
         orbits.append(frozenset(GroupElement(G, c) for c in orbit))
     return orbits

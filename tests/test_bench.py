@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -24,6 +25,21 @@ def test_fit_power_law_exact_on_linear_counts(slope):
 def test_fit_power_law_needs_two_points():
     with pytest.raises(ValueError):
         bench.fit_power_law([(4, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "points,bad",
+    [
+        ([(1, 0), (2, 1)], "(1, 0)"),
+        ([(0, 1), (2, 3)], "(0, 1)"),
+        ([(1, 1), (2, -3), (4, 0)], "(2, -3)"),
+        ([(1, 1), (-2, 3)], "(-2, 3)"),
+    ],
+)
+def test_fit_power_law_rejects_non_positive_points(points, bad):
+    # the first two used to raise ZeroDivisionError, the others "math domain error"
+    with pytest.raises(ValueError, match=re.escape(f"point {bad}")):
+        bench.fit_power_law(points)
 
 
 def test_model_operation_counts_formula():

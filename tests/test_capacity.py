@@ -32,6 +32,15 @@ def test_cap_below_one_is_a_value_error(entry, cap):
     CAPPED[entry](64)  # |G|^rank = 64 is the largest count here
 
 
+@pytest.mark.parametrize("cap", [64.5, 7.5, "5"])
+@pytest.mark.parametrize("entry", sorted(CAPPED))
+def test_non_integer_cap_is_a_type_error(entry, cap):
+    # 64.5 and 7.5 used to be compared as they were, and answered; "5" failed
+    # with a bare TypeError from the comparison
+    with pytest.raises(TypeError, match="integer"):
+        CAPPED[entry](cap)
+
+
 def test_search_cap_message_never_prints_the_product():
     # 2^20000 to the 20000th power used to be computed in full (2.2 s, 182 MB)
     # and then failed to print: the product has more digits than str allows
@@ -57,8 +66,8 @@ def test_unequal_orders_build_no_table():
     assert oracle._raw_automorphisms.cache_info().misses == 0
 
 
-def test_tables_are_cached_by_presentation_not_cap():
-    oracle._raw_automorphisms.cache_clear()
+def test_generators_are_cached_by_presentation_not_cap():
+    oracle._generators.cache_clear()
     assert oracle.brute_orbits(G24) == oracle.brute_orbits(G24, cap=10**8)
-    info = oracle._raw_automorphisms.cache_info()
+    info = oracle._generators.cache_info()
     assert (info.misses, info.hits) == (1, 1)

@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from autorbit import oracle
 from autorbit.arith import factorize
 from autorbit.errors import CapacityExceeded
 from autorbit.groups import make_group
+from autorbit.orbits import enumerate_orbits
 from autorbit.oracle import (
     aut_order_homocyclic,
     brute_orbits,
@@ -177,14 +179,44 @@ def test_hillar_rhea_matches_homocyclic_closed_form():
         assert aut_order_hillar_rhea(p, (m,) * n) == aut_order_homocyclic(p, m, n)
 
 
-@pytest.mark.parametrize("moduli", [(4, 4), (2, 6, 3), (2, 1, 2, 2), (3, 1, 3), (8, 4, 2)])
-def test_support_projection_matches_every_table(moduli):
-    # an element's images from the distinct projections of the tables onto
-    # its support are its images under every table
-    tables = oracle._raw_automorphisms(moduli)
-    for x in make_group(moduli).elements():
-        expected = {oracle._apply(x.coords, images, moduli) for images in tables}
-        assert set(oracle._images(x.coords, tables, moduli)) == expected, x
+def _table_orbit(coords, tables, moduli):
+    """The images of coords under every automorphism table."""
+    return {oracle._apply(coords, images, moduli) for images in tables}
+
+
+def test_closure_partition_matches_table_search():
+    # the closure under elementary automorphisms is the orbit under all of
+    # Aut(G): checked on mixed and padded presentations and on every class
+    # with |G| <= 64 within the cap, against the exhaustive table search
+    presentations = [(4, 4), (2, 6, 3), (2, 1, 2, 2), (3, 1, 3), (8, 4, 2)]
+    presentations += [G.moduli for G in groups_up_to(64) if G.order**G.rank <= oracle.DEFAULT_CAP]
+    assert len(presentations) == 5 + 112
+    for moduli in presentations:
+        tables = oracle._raw_automorphisms(moduli)
+        orbits = [{x.coords for x in orbit} for orbit in brute_orbits(make_group(moduli))]
+        # the first unplaced element in odometer order starts each orbit
+        starts = list(map(min, orbits))
+        assert starts == sorted(starts), moduli
+        for start, coords in zip(starts, orbits):
+            assert _table_orbit(start, tables, moduli) == coords, moduli
+
+
+def test_orbit_sizes_match_enumerate_orbits():
+    for G in groups_up_to(256):
+        sizes = sorted(map(len, brute_orbits(G, cap=G.order**G.rank)))
+        assert sizes == sorted(o.size for o in enumerate_orbits(G)), G
+
+
+def test_bruteforce_decision_matches_table_search():
+    # a seeded sample of pairs from the classes with |G| <= 64 within the cap
+    rng = random.Random(25)
+    groups = [G for G in groups_up_to(64) if G.order**G.rank <= oracle.DEFAULT_CAP]
+    for G in rng.sample(groups, 24):
+        tables = oracle._raw_automorphisms(G.moduli)
+        elements = list(G.elements())
+        for x, y in (rng.sample(elements, 2) if len(elements) > 1 else [(elements[0],) * 2] for _ in range(8)):
+            expected = y.coords in _table_orbit(x.coords, tables, G.moduli)
+            assert is_automorphic_image_bruteforce(G, x, y) == expected, (G, x, y)
 
 
 def test_aut_lower_bound_exponential_in_rank():
@@ -279,24 +311,24 @@ def test_bruteforce_image_decision():
 
 
 def test_bruteforce_decision_compares_orders_first(monkeypatch):
-    # x has order 4 and y order 2, so no table is applied; the cap is checked
-    # before the orders, so it still applies
+    # x has order 4 and y order 2, so no closure step is taken; the cap is
+    # checked before the orders, so it still applies
     G = make_group([2, 2, 2, 4])
     x, y = G.element([1, 1, 1, 1]), G.element([1, 0, 0, 2])
-    calls = []
+    steps = []
 
     def counting(*args):
-        calls.append(args)
-        return apply(*args)
+        steps.append(args)
+        return neighbours(*args)
 
-    apply = oracle._apply
-    monkeypatch.setattr(oracle, "_apply", counting)
+    neighbours = oracle._neighbours
+    monkeypatch.setattr(oracle, "_neighbours", counting)
     assert not is_automorphic_image_bruteforce(G, x, y)
-    assert len(calls) == 0
+    assert len(steps) == 0
     with pytest.raises(CapacityExceeded):
         is_automorphic_image_bruteforce(G, x, y, cap=1000)
     assert is_automorphic_image_bruteforce(G, x, G.element([1, 1, 0, 3]))
-    assert len(calls) > 0
+    assert len(steps) > 0
 
 
 def test_capacity_cap():
