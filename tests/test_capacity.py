@@ -35,8 +35,8 @@ def test_cap_below_one_is_a_value_error(entry, cap):
 @pytest.mark.parametrize("cap", [64.5, 7.5, "5"])
 @pytest.mark.parametrize("entry", sorted(CAPPED))
 def test_non_integer_cap_is_a_type_error(entry, cap):
-    # 64.5 and 7.5 used to be compared as they were, and answered; "5" failed
-    # with a bare TypeError from the comparison
+    # 64.5 and 7.5 used to be compared as they were, so calls within them
+    # answered; "5" failed with a bare TypeError from the comparison
     with pytest.raises(TypeError, match="integer"):
         CAPPED[entry](cap)
 

@@ -14,7 +14,7 @@ from _support import aut_order_hillar_rhea, cyclic_presentations, groups_up_to
 from autorbit import oracle
 from autorbit.arith import factorize
 from autorbit.errors import CapacityExceeded
-from autorbit.groups import make_group
+from autorbit.groups import element_order, make_group
 from autorbit.orbits import enumerate_orbits
 from autorbit.oracle import (
     aut_order_homocyclic,
@@ -179,44 +179,50 @@ def test_hillar_rhea_matches_homocyclic_closed_form():
         assert aut_order_hillar_rhea(p, (m,) * n) == aut_order_homocyclic(p, m, n)
 
 
-def _table_orbit(coords, tables, moduli):
-    """The images of coords under every automorphism table."""
-    return {oracle._apply(coords, images, moduli) for images in tables}
+def _table_partition(moduli):
+    """The orbits as sorted coordinate lists, each started by the first
+    unplaced element in odometer order and found by applying every
+    automorphism table to it."""
+    tables = oracle._raw_automorphisms(moduli)
+    orbits, placed = [], set()
+    for start in itertools.product(*map(range, moduli)):
+        if start not in placed:
+            orbit = {oracle._apply(start, images, moduli) for images in tables}
+            placed |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
 
 
-def test_closure_partition_matches_table_search():
+def test_closure_matches_table_search():
     # the closure under elementary automorphisms is the orbit under all of
     # Aut(G): checked on mixed and padded presentations and on every class
-    # with |G| <= 64 within the cap, against the exhaustive table search
+    # with |G| <= 64 within the cap, against the exhaustive table search,
+    # orbit by orbit in the same order; and the decision on a seeded pair
+    # of each element order, from one orbit or from two when it has several
     presentations = [(4, 4), (2, 6, 3), (2, 1, 2, 2), (3, 1, 3), (8, 4, 2)]
     presentations += [G.moduli for G in groups_up_to(64) if G.order**G.rank <= oracle.DEFAULT_CAP]
     assert len(presentations) == 5 + 112
+    rng = random.Random(25)
+    answers = []
     for moduli in presentations:
-        tables = oracle._raw_automorphisms(moduli)
-        orbits = [{x.coords for x in orbit} for orbit in brute_orbits(make_group(moduli))]
-        # the first unplaced element in odometer order starts each orbit
-        starts = list(map(min, orbits))
-        assert starts == sorted(starts), moduli
-        for start, coords in zip(starts, orbits):
-            assert _table_orbit(start, tables, moduli) == coords, moduli
+        G = make_group(moduli)
+        partition = _table_partition(moduli)
+        assert [sorted(x.coords for x in orbit) for orbit in brute_orbits(G)] == partition, moduli
+        by_order = {}
+        for orbit in partition:
+            by_order.setdefault(element_order(G.element(orbit[0])), []).append(orbit)
+        for orbits in by_order.values():
+            ox, oy = rng.choice(orbits), rng.choice(orbits)
+            x, y = G.element(rng.choice(ox)), G.element(rng.choice(oy))
+            answers.append(is_automorphic_image_bruteforce(G, x, y))
+            assert answers[-1] == (ox is oy), (G, x, y)
+    assert answers.count(False) >= 20
 
 
 def test_orbit_sizes_match_enumerate_orbits():
     for G in groups_up_to(256):
         sizes = sorted(map(len, brute_orbits(G, cap=G.order**G.rank)))
         assert sizes == sorted(o.size for o in enumerate_orbits(G)), G
-
-
-def test_bruteforce_decision_matches_table_search():
-    # a seeded sample of pairs from the classes with |G| <= 64 within the cap
-    rng = random.Random(25)
-    groups = [G for G in groups_up_to(64) if G.order**G.rank <= oracle.DEFAULT_CAP]
-    for G in rng.sample(groups, 24):
-        tables = oracle._raw_automorphisms(G.moduli)
-        elements = list(G.elements())
-        for x, y in (rng.sample(elements, 2) if len(elements) > 1 else [(elements[0],) * 2] for _ in range(8)):
-            expected = y.coords in _table_orbit(x.coords, tables, G.moduli)
-            assert is_automorphic_image_bruteforce(G, x, y) == expected, (G, x, y)
 
 
 def test_aut_lower_bound_exponential_in_rank():
