@@ -66,7 +66,8 @@ def test_unequal_orders_build_no_table():
     assert oracle._raw_automorphisms.cache_info().misses == 0
 
 
-def test_generators_are_cached_by_presentation_not_cap():
+def test_tables_are_cached_by_presentation_not_cap():
+    # the orbits now read the generator cache, not the automorphism tables
     oracle._generators.cache_clear()
     assert oracle.brute_orbits(G24) == oracle.brute_orbits(G24, cap=10**8)
     info = oracle._generators.cache_info()

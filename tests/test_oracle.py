@@ -193,6 +193,17 @@ def _table_partition(moduli):
     return orbits
 
 
+@pytest.mark.parametrize("moduli", [(4, 4), (2, 6, 3), (2, 1, 2, 2), (3, 1, 3), (8, 4, 2)])
+def test_support_projection_matches_every_table(moduli):
+    # an element's closure under the elementary automorphisms, started at any
+    # element and not only at an orbit's first, is its images under every table
+    tables = oracle._raw_automorphisms(moduli)
+    gens = oracle._generators(moduli)
+    for x in make_group(moduli).elements():
+        expected = {oracle._apply(x.coords, images, moduli) for images in tables}
+        assert set(oracle._closure(x.coords, gens)) == expected, x
+
+
 def test_closure_matches_table_search():
     # the closure under elementary automorphisms is the orbit under all of
     # Aut(G): checked on mixed and padded presentations and on every class
