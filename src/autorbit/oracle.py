@@ -14,15 +14,19 @@ work; the generator list is cached by presentation.  Aut(G) itself is found
 by a depth-first search, a plain recursion over the generators' images,
 that keeps an image only while the rows chosen so far stay independent mod
 every prime (the Burnside basis theorem); those tables serve
-enumerate_automorphisms and the tests.  It is desk-scale machinery: every
-entry point calls errors.check_cap before it builds or fetches anything,
-bounding the orbit routes and the Aut(G) search by |G|^rank (the running
-product of rank copies of |G|) and the quotient keys by |G|.  The cached
-generators and tables are keyed by presentation alone, so a call with
-another cap reuses them.  The decision answers elements of different orders
-after the cap check and before any closure.  It is first-class (exposed on
-the CLI), not test-only code, since the naive closure decision procedure is
-itself a baseline worth comparing against.
+enumerate_automorphisms and the tests.  A quotient key G / <x> comes from
+torsion counts over <x> alone: p^k annihilates |<x> & p^k G| * |G[p^k]| /
+|<x>| of its cosets (& is intersection), and both factors are read off the
+presentation, so a key walks the multiples of x once per (p, k) and never
+the rest of G.  It is desk-scale machinery: every entry point calls
+errors.check_cap before it builds or fetches anything, bounding the orbit
+routes and the Aut(G) search by |G|^rank (the running product of rank
+copies of |G|) and the quotient keys by |G|.  The cached generators and
+tables are keyed by presentation alone, so a call with another cap reuses
+them.  The decision answers elements of different orders after the cap
+check and before any closure.  It is first-class (exposed on the CLI), not
+test-only code, since the naive closure decision procedure is itself a
+baseline worth comparing against.
 """
 
 from __future__ import annotations
@@ -65,10 +69,6 @@ def _all_coords(moduli: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def _add(a, b, moduli):
     return tuple((x + y) % d for x, y, d in zip(a, b, moduli))
-
-
-def _scale(k, a, moduli):
-    return tuple((k * x) % d for x, d in zip(a, moduli))
 
 
 def _multiples(y, moduli) -> list[tuple[int, ...]]:
@@ -337,24 +337,22 @@ def _exponents_from_torsion(p: int, coset_counts: list[int]) -> list[int]:
     return exps
 
 
-def _power_layers(elements, moduli, n: int) -> dict[int, list[list[tuple[int, ...]]]]:
-    """{p: [pG, p^2 G, ..., p^a G]} for each p^a exactly dividing n, where
-    layer k lists p^k * g for every g in ``elements``, in the same order."""
-    return {
-        p: [[_scale(p**k, c, moduli) for c in elements] for k in range(1, a + 1)]
-        for p, a in factorize(n).items()
-    }
-
-
-def _torsion_key(q: int, H: set, layers) -> CanonicalGroupKey:
-    """Canonical key of G / H, of order q, from the number of cosets of H that
-    p^k annihilates, for each p^a exactly dividing q and each k <= a that
-    the layers reach; the layers are _power_layers of all of G for a multiple
-    of gcd(q, exponent of G)."""
-    h = len(H)
+def _torsion_key(G: AbelianGroup, walk: list[tuple[int, ...]]) -> CanonicalGroupKey:
+    """Canonical key of G / H, with H = <x> listed by _multiples, from the
+    number of cosets of H that p^k annihilates, |H & p^k G| * |G[p^k]| / |H|,
+    for each prime p of G and each k up to the p-valuation of gcd(|G / H|,
+    exponent of G); deeper counts repeat.  |G[p^k]| = prod gcd(p^k, d_i), and
+    h lies in p^k G exactly when each gcd(p^k, d_i) divides h_i, so the
+    count walks H once per (p, k) and never the rest of G."""
+    h = len(walk)
+    depth = math.gcd(G.order // h, G.exponent)
     primary = {}
-    for p, a in factorize(q).items():
-        counts = [sum(1 for c in layer if c in H) // h for layer in layers[p][:a]]
+    for p in G.primes():
+        counts = []
+        for k in range(1, nu(p, depth) + 1):
+            gs = [math.gcd(p**k, d) for d in G.moduli]
+            inside = sum(not any(map(operator.mod, y, gs)) for y in walk)
+            counts.append(inside * math.prod(gs) // h)
         primary[p] = _exponents_from_torsion(p, counts)
     return CanonicalGroupKey.from_map(primary)
 
@@ -362,11 +360,12 @@ def _torsion_key(q: int, H: set, layers) -> CanonicalGroupKey:
 def brute_quotient_key(G: AbelianGroup, x: GroupElement, cap: int = DEFAULT_CAP) -> CanonicalGroupKey:
     """Canonical key of G / <x> identified purely from coset torsion counts.
 
-    Enumerates the cosets of <x>; for each prime p dividing the quotient order
-    and each k, counts the cosets annihilated by p^k.  Those counts pin down a
-    finite abelian group uniquely, prime by prime.  Raises DimensionMismatch
-    or ForeignElement for an element not of G, ValueError for a cap below 1
-    and CapacityExceeded when |G| exceeds the cap.
+    Walks the multiples of x; for each prime p dividing the quotient order
+    and each k, counts the cosets of <x> annihilated by p^k as
+    |<x> & p^k G| * |G[p^k]| / |<x>|.  Those counts pin down a finite abelian
+    group uniquely, prime by prime.  Raises DimensionMismatch or
+    ForeignElement for an element not of G, ValueError for a cap below 1 and
+    CapacityExceeded when |G| exceeds the cap.
 
     >>> from .groups import make_group
     >>> G = make_group([2, 4])
@@ -374,33 +373,22 @@ def brute_quotient_key(G: AbelianGroup, x: GroupElement, cap: int = DEFAULT_CAP)
     ((2, (2,)),)
     """
     check_elements(G, x)
-    N = G.order
-    check_cap(cap, (N,), "group elements")
-    moduli = G.moduli
-    H = set(_multiples(x.coords, moduli))
-    q = N // len(H)
-    # G / H has exponent dividing G's: layers past v_p(exp G) repeat counts
-    layers = _power_layers(_all_coords(moduli), moduli, math.gcd(q, G.exponent))
-    return _torsion_key(q, H, layers)
+    check_cap(cap, (G.order,), "group elements")
+    return _torsion_key(G, _multiples(x.coords, G.moduli))
 
 
 def brute_quotient_keys(G: AbelianGroup, cap: int = DEFAULT_CAP) -> dict[tuple[int, ...], CanonicalGroupKey]:
     """Quotient key for every element of G, by the same torsion counting as
-    brute_quotient_key but with the power layers of G shared across elements
-    and one computation per distinct cyclic subgroup.  The cap bounds |G|."""
-    N = G.order
-    check_cap(cap, (N,), "group elements")
-    moduli = G.moduli
-    elements = _all_coords(moduli)
-    # every quotient has exponent dividing G's: deeper layers repeat counts
-    layers = _power_layers(elements, moduli, G.exponent)
+    brute_quotient_key, once per distinct cyclic subgroup.  The cap bounds
+    |G|."""
+    check_cap(cap, (G.order,), "group elements")
     out: dict[tuple[int, ...], CanonicalGroupKey] = {}
-    for start in elements:
+    for start in _all_coords(G.moduli):
         if start in out:
             continue
-        walk = _multiples(start, moduli)
+        walk = _multiples(start, G.moduli)
         h = len(walk)
-        key = _torsion_key(N // h, set(walk), layers)
+        key = _torsion_key(G, walk)
         # every generator of <start> generates the same subgroup
         for k in range(h):
             if math.gcd(k, h) == 1:

@@ -14,7 +14,8 @@ import operator
 from typing import Sequence
 
 from . import kernels
-from .arith import factorize
+# factorize is not called here; perfbench's tracer binds snf.factorize
+from .arith import factorize, nu
 from .groups import AbelianGroup, CanonicalGroupKey, GroupElement, to_invariant_coordinates
 
 
@@ -53,15 +54,13 @@ def quotient_matrix(G: AbelianGroup, x: GroupElement) -> list[list[int]]:
 
 def quotient_by_snf(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
     """Canonical key of G / <x> via Smith normal form of the relation matrix.
+    Every diagonal entry divides the exponent of G, so the key splits the
+    diagonal by G's primes and factors nothing.
 
     >>> from .groups import make_group
     >>> G = make_group([2, 4, 8, 8])
     >>> quotient_by_snf(G, G.element([2, 1, 2, 4])).parts
     ((2, (3, 3, 1)),)
     """
-    primary: dict[int, list[int]] = {}
-    for s in smith_normal_form(quotient_matrix(G, x)):
-        if s > 1:
-            for p, e in factorize(s).items():
-                primary.setdefault(p, []).append(e)
-    return CanonicalGroupKey.from_map(primary)
+    diag = smith_normal_form(quotient_matrix(G, x))
+    return CanonicalGroupKey.from_map({p: [nu(p, s) for s in diag] for p in G.primes()})

@@ -14,6 +14,7 @@ from _support import aut_order_hillar_rhea, cyclic_presentations, groups_up_to
 from autorbit import oracle
 from autorbit.arith import factorize
 from autorbit.errors import CapacityExceeded
+from autorbit.fastquot import quotient
 from autorbit.groups import element_order, make_group
 from autorbit.orbits import enumerate_orbits
 from autorbit.oracle import (
@@ -24,6 +25,7 @@ from autorbit.oracle import (
     enumerate_automorphisms,
     is_automorphic_image_bruteforce,
 )
+from autorbit.snf import quotient_by_snf
 
 
 def test_cyclic_four_has_two_automorphisms():
@@ -299,6 +301,38 @@ def test_batched_brute_quotients_match_single():
         batched = brute_quotient_keys(G)
         for x in G.elements():
             assert batched[x.coords] == brute_quotient_key(G, x), (G, x)
+
+
+def _scrambled(divisors, rng):
+    """A presentation of the group with these elementary divisors in the
+    shape verify runs: each divisor merged into a random coprime block or
+    left alone, one or two trivial factors inserted, all shuffled."""
+    blocks = []
+    for q in rng.sample(divisors, len(divisors)):
+        coprime = [i for i, b in enumerate(blocks) if math.gcd(b, q) == 1]
+        if coprime and rng.random() < 0.8:
+            blocks[rng.choice(coprime)] *= q
+        else:
+            blocks.append(q)
+    blocks += [1] * rng.randint(1, 2)
+    rng.shuffle(blocks)
+    return blocks
+
+
+def test_keys_agree_on_scrambled_presentations():
+    # gcd(p^k, 1) and the split of composite moduli by prime are where the
+    # oracle's count over <x> and the snf key's per-prime split could slip
+    rng = random.Random(26)
+    merged = 0
+    for canonical in groups_up_to(64):
+        G = make_group(_scrambled(list(canonical.moduli), rng))
+        assert G.canonical == canonical.canonical
+        merged += any(len(factorize(d)) > 1 for d in G.moduli)
+        batched = brute_quotient_keys(G)
+        for x in G.elements():
+            key = quotient(G, x)
+            assert brute_quotient_key(G, x) == batched[x.coords] == quotient_by_snf(G, x) == key, (G, x)
+    assert merged > 40
 
 
 def test_composition_closure_spot_check():

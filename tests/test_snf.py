@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from _support import groups_up_to
+from autorbit import arith
 from autorbit.groups import element_order, make_group
 from autorbit.oracle import brute_quotient_key
 from autorbit.snf import quotient_by_snf, quotient_matrix, smith_normal_form
@@ -145,3 +147,16 @@ def test_snf_agrees_on_raw_vs_invariant_presentation():
                     primary.setdefault(p, []).append(e)
             assert CanonicalGroupKey.from_map(primary) == quotient_by_snf(G, x)
             assert key_orders == sorted(quotient_by_snf(G, x).elementary_divisors())
+
+
+def test_snf_keys_leave_the_factorize_cache_alone():
+    # each diagonal entry used to go through arith.factorize, whose
+    # process-wide cache kept every new entry: verify's memory grew per pass
+    rng = random.Random(64)
+    G = make_group([2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 3) * 5 ** rng.randint(0, 2) * 7 ** rng.randint(0, 2)
+                    for _ in range(64)])
+    before = arith._factorize_cached.cache_info().currsize
+    for _ in range(6):
+        x = G.element([rng.randrange(d) for d in G.moduli])
+        assert quotient_by_snf(G, x).order() == G.order // element_order(x)
+    assert arith._factorize_cached.cache_info().currsize == before
