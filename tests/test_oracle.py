@@ -331,7 +331,8 @@ def test_keys_agree_on_scrambled_presentations():
         batched = brute_quotient_keys(G)
         for x in G.elements():
             key = quotient(G, x)
-            assert brute_quotient_key(G, x) == batched[x.coords] == quotient_by_snf(G, x) == key, (G, x)
+            assert brute_quotient_key(G, x) == batched[x.coords] == key, (G, x)
+            assert quotient_by_snf(G, x) == key, (G, x)
     assert merged > 40
 
 

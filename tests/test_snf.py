@@ -153,8 +153,7 @@ def test_snf_keys_leave_the_factorize_cache_alone():
     # each diagonal entry used to go through arith.factorize, whose
     # process-wide cache kept every new entry: verify's memory grew per pass
     rng = random.Random(64)
-    G = make_group([2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 3) * 5 ** rng.randint(0, 2) * 7 ** rng.randint(0, 2)
-                    for _ in range(64)])
+    G = make_group([math.prod(p ** rng.randint(0, 2) for p in (2, 3, 5, 7)) for _ in range(64)])
     before = arith._factorize_cached.cache_info().currsize
     for _ in range(6):
         x = G.element([rng.randrange(d) for d in G.moduli])
