@@ -24,9 +24,9 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     integer matrix with the given rows.
 
     Entries are nonnegative and form a divisibility chain s_i | s_{i+1}
-    (zeros last).  Uses smallest-magnitude pivoting with a gcd/lcm chain
-    repair; see ``kernels.snf_diagonal``.  Raises ValueError for ragged rows
-    and TypeError for a non-integral entry.
+    (zeros last).  Uses extended-gcd (Bezout) elimination with a gcd/lcm
+    chain repair; see ``kernels.snf_diagonal``.  Raises ValueError for ragged
+    rows and TypeError for a non-integral entry.
 
     >>> smith_normal_form([[1, 2], [2, 0], [0, 4]])
     [1, 4]
@@ -55,7 +55,9 @@ def quotient_matrix(G: AbelianGroup, x: GroupElement) -> list[list[int]]:
 def quotient_by_snf(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
     """Canonical key of G / <x> via Smith normal form of the relation matrix.
     Every diagonal entry divides the exponent of G, so the key splits the
-    diagonal by G's primes and factors nothing.
+    diagonal by G's primes and factors nothing.  The diagonal is a
+    divisibility chain, so each prime's valuations are read from the largest
+    entry down, stopping at the first entry the prime does not divide.
 
     >>> from .groups import make_group
     >>> G = make_group([2, 4, 8, 8])
@@ -63,4 +65,12 @@ def quotient_by_snf(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
     ((2, (3, 3, 1)),)
     """
     diag = smith_normal_form(quotient_matrix(G, x))
-    return CanonicalGroupKey.from_map({p: [nu(p, s) for s in diag] for p in G.primes()})
+    diag.reverse()
+    primary = {}
+    for p in G.primes():
+        exps = primary[p] = []
+        for s in diag:
+            if s % p:
+                break
+            exps.append(nu(p, s))
+    return CanonicalGroupKey.from_map(primary)

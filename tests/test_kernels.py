@@ -41,6 +41,16 @@ def test_snf_zero_matrix():
         kernels.snf_diagonal(2, 3, [0] * 5)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, entries", [(-1, -1, [7]), (0, -3, []), (-3, 0, []), (-2, -2, [1, 0, 0, 1])]
+)
+def test_snf_rejects_negative_size(rows, cols, entries):
+    # (-1) * (-1) and 0 * (-3) match the entry counts, so only the sign check
+    # stops these; (-1, -1, [7]) used to return []
+    with pytest.raises(ValueError):
+        kernels.snf_diagonal(rows, cols, entries)
+
+
 def _det(rows):
     """Integer determinant by Laplace expansion along the first row."""
     if not rows:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _support import groups_up_to
-from autorbit import arith
+from autorbit import arith, fastquot
 from autorbit.groups import element_order, make_group
 from autorbit.oracle import brute_quotient_key
 from autorbit.snf import quotient_by_snf, quotient_matrix, smith_normal_form
@@ -159,3 +159,35 @@ def test_snf_keys_leave_the_factorize_cache_alone():
         x = G.element([rng.randrange(d) for d in G.moduli])
         assert quotient_by_snf(G, x).order() == G.order // element_order(x)
     assert arith._factorize_cached.cache_info().currsize == before
+
+
+def _wide_groups():
+    """C4^64 and seeded groups of rank 16..64 whose moduli are products of
+    small primes up to 10^20, so that the invariant factors reach 158 bits."""
+    rng = random.Random(27)
+    primes = (2, 2, 2, 3, 3, 5, 7, 11, 101, 65537)
+    groups = [make_group([4] * 64)]
+    for rank in (16, 24, 32, 48, 64):
+        moduli = []
+        for _ in range(rank):
+            d = 1
+            for _ in range(rng.randint(1, 70)):
+                p = rng.choice(primes)
+                if d * p <= 10**20:
+                    d *= p
+            moduli.append(d)
+        groups.append(make_group(moduli))
+    return groups
+
+
+def test_snf_matches_fast_path_on_wide_groups():
+    # the sizes that perfbench's verify workload reaches and criterion 3 does
+    # not (rank <= 5, |G| <= 10^9): Bezout steps on entries of up to 158 bits
+    # at rank 64, where a lost sign or a dropped pivot shows as a wrong key
+    # and unchecked coefficient growth as a slow test
+    rng = random.Random(2027)
+    for G in _wide_groups():
+        xs = [G.identity()] + [G.element([rng.randrange(d) for d in G.moduli]) for _ in range(6)]
+        xs += [G.element([k * c for c in xs[1].coords]) for k in (2, 3, 6, 101)]
+        for x in xs:
+            assert quotient_by_snf(G, x) == fastquot.quotient(G, x), (G.moduli, x.coords)
