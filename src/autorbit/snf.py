@@ -44,12 +44,20 @@ def quotient_matrix(G: AbelianGroup, x: GroupElement) -> list[list[int]]:
     ForeignElement when x belongs to another group (checked by
     to_invariant_coordinates).
     """
-    rows = [list(to_invariant_coordinates(G, x))]
+    k = G.rank
+    entries = _relation_entries(G, x)
+    return [entries[r * k : (r + 1) * k] for r in range(k + 1)]
+
+
+def _relation_entries(G: AbelianGroup, x: GroupElement) -> list[int]:
+    """The entries of ``quotient_matrix(G, x)``, row by row."""
+    k = G.rank
+    entries = list(to_invariant_coordinates(G, x))
     for i, m in enumerate(G.invariant_factors):
-        row = [0] * G.rank
+        row = [0] * k
         row[i] = m
-        rows.append(row)
-    return rows
+        entries += row
+    return entries
 
 
 def quotient_by_snf(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
@@ -64,7 +72,7 @@ def quotient_by_snf(G: AbelianGroup, x: GroupElement) -> CanonicalGroupKey:
     >>> quotient_by_snf(G, G.element([2, 1, 2, 4])).parts
     ((2, (3, 3, 1)),)
     """
-    diag = smith_normal_form(quotient_matrix(G, x))
+    diag = kernels.snf_diagonal(G.rank + 1, G.rank, _relation_entries(G, x))
     diag.reverse()
     primary = {}
     for p in G.primes():
