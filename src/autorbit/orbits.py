@@ -38,6 +38,20 @@ lists.  No per-prime ReducedForm is built: each orbit's ReducedForm records
 are made in one bulk call (Record._many) from its exact form count, so no
 form passes through Record.__init__.
 
+enumerate_orbits and p_group_orbits build their output with CPython's cyclic
+garbage collector paused (_collector_paused, entered once per call after the
+cap check): a build makes a few container objects per reduced form, which a
+running collector would re-scan again and again as the output grows.  The
+pause is safe because no builder makes a reference cycle, so reference
+counting frees everything and the pause changes only when the collector
+runs, not what it frees; tests/test_orbits.py's no-cyclic-garbage test
+checks every builder path, and tests/test_source_lint.py keeps self-calling
+closures out and every gc.disable and gc.enable call in that one helper.  A
+collector already disabled is left alone.  The collector is process-global:
+if another thread disables it while an enumeration runs, the enumeration
+turns it back on when it returns.  Results never depend on it, so they are
+the same under threads.
+
 enumerate_orbits and p_group_orbits are capped (default 10**7 reduced forms)
 and orbit_census by the number of orbits, which it counts before building
 them.  Each calls errors.check_cap before building anything, so it fails
@@ -46,7 +60,9 @@ loudly with CapacityExceeded rather than hang.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from itertools import compress, product, repeat, tee
 from operator import contains, itemgetter, mul, sub
 from typing import Iterable, Iterator
@@ -267,6 +283,21 @@ def _summaries(per_prime: list[list]) -> list[OrbitSummary]:
     ]
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for one orbit build and
+    resume it afterwards, also when the build raises; a collector already
+    disabled is left alone.  The module docstring says why this is safe."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def p_group_orbits(
     p: int, exponents: tuple[int, ...], cap: int = DEFAULT_CAP
 ) -> list[OrbitSummary]:
@@ -287,7 +318,8 @@ def p_group_orbits(
     # every valuation lies in [0, e], so the exponents as valuations pass
     check_valuations(exponents, exponents)
     check_cap(cap, (e + 1 for e in exponents), "reduced forms")
-    return _summaries([_p_orbits(p, exponents)])
+    with _collector_paused():
+        return _summaries([_p_orbits(p, exponents)])
 
 
 def orbit_census(G: AbelianGroup, cap: int = DEFAULT_CAP) -> list[CensusRow]:
@@ -333,4 +365,5 @@ def enumerate_orbits(
     check_cap(cap, (e + 1 for exps in exponents for e in exps), "reduced forms")
     if len(primes) == 1:
         return p_group_orbits(primes[0], exponents[0], cap)
-    return _summaries(list(map(_p_orbits, primes, exponents)))
+    with _collector_paused():
+        return _summaries(list(map(_p_orbits, primes, exponents)))

@@ -1,6 +1,7 @@
 """The public operations are pure functions over immutable values, so
 concurrent callers must see exactly the serial results."""
 
+import gc
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,3 +34,5 @@ def test_concurrent_orbit_enumeration_shares_group():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: enumerate_orbits(G), range(16)))
     assert all(r == expected for r in results)
+    # each call that paused the collector resumed it, whatever the interleaving
+    assert gc.isenabled()

@@ -389,20 +389,67 @@ def test_census_is_closed_form_past_the_form_cap(moduli, orbit_count):
 def test_orbit_builders_leave_no_cyclic_garbage():
     # an antichain recursion whose frames reached themselves through a
     # reference cycle would keep its antichain list or memo alive until the
-    # next collection
+    # next collection.  The enumerators run with the collector paused, which
+    # is sound only while no path of theirs makes a cycle: blocks of
+    # multiplicity 1 pin their point, larger blocks filter the product with
+    # tee and compress, and both must leave nothing for the collector.
     census_group = make_group([2**k for k in range(1, 10)] * 50)
-    enumerated_group = make_group([8, 4, 2, 9, 3, 5, 25])
+    builds = [
+        lambda: orbit_census(census_group),
+        lambda: enumerate_orbits(make_group([8, 4, 2, 9, 3, 5, 25])),
+        lambda: p_group_orbits(2, (2, 2, 3)),
+        lambda: enumerate_orbits(make_group([4, 4, 8, 9, 9])),
+    ]
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        orbit_census(census_group)
-        assert gc.collect() == 0
-        enumerate_orbits(enumerated_group)
-        assert gc.collect() == 0
+        for build in builds:
+            build()
+            assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+def test_enumerators_restore_the_collector(monkeypatch):
+    G = make_group([8, 9, 5])
+    enabled = gc.isenabled()
+    try:
+        for on in (True, False):
+            gc.enable() if on else gc.disable()
+            enumerate_orbits(G)
+            assert gc.isenabled() is on
+            p_group_orbits(2, (2, 2, 3))
+            assert gc.isenabled() is on
+        gc.enable()
+        # the build runs paused, and a build that raises resumes the collector
+        seen = []
+
+        def failing_many(values, count):
+            seen.append(gc.isenabled())
+            raise RuntimeError("build failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ReducedForm, "_many", failing_many)
+            for build in (lambda: enumerate_orbits(G), lambda: p_group_orbits(3, (2,))):
+                with pytest.raises(RuntimeError, match="build failed"):
+                    build()
+                assert gc.isenabled()
+        assert seen == [False, False]
+        # an over-cap call fails before it touches the collector
+        toggles = []
+        with monkeypatch.context() as patch:
+            patch.setattr(gc, "disable", lambda: toggles.append("disable"))
+            patch.setattr(gc, "enable", lambda: toggles.append("enable"))
+            with pytest.raises(CapacityExceeded):
+                enumerate_orbits(G, cap=15)
+            with pytest.raises(CapacityExceeded):
+                p_group_orbits(2, (2, 2, 3), cap=35)
+        assert toggles == []
+        assert gc.isenabled()
+    finally:
+        gc.enable() if enabled else gc.disable()
 
 
 def test_census_cap_bounds_orbits():

@@ -125,26 +125,35 @@ def test_every_import_is_used_exported_or_traced():
     assert found == []
 
 
-def exception_raises(name: str, source: str, exception: str) -> list[str]:
-    """'name:line scope' for each statement that raises the named exception,
-    by name or as an attribute, where scope is the enclosing function's
-    qualified name (<module> at top level).  A policy that lives in one
-    check, such as capacity or the per-prime valuation contract, should have
-    exactly one."""
+def scoped_matches(name: str, tree: ast.AST, match) -> list[str]:
+    """'name:line scope' for each node of the tree that match accepts, where
+    scope is the enclosing function's qualified name (<module> at top level)."""
     found = []
-    stack = [(ast.parse(source), "<module>")]
+    stack = [(tree, "<module>")]
     while stack:
         node, scope = stack.pop()
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if getattr(exc, "id", getattr(exc, "attr", None)) == exception:
-                    found.append((child.lineno, scope))
+            if match(child):
+                found.append((child.lineno, scope))
             if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
                 stack.append((child, f"{scope}.{child.name}".removeprefix("<module>.")))
             else:
                 stack.append((child, scope))
     return [f"{name}:{line} {scope}" for line, scope in sorted(found)]
+
+
+def exception_raises(name: str, source: str, exception: str) -> list[str]:
+    """'name:line scope' for each statement that raises the named exception,
+    by name or as an attribute.  A policy that lives in one check, such as
+    capacity or the per-prime valuation contract, should have exactly one."""
+
+    def raises(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None)) == exception
+
+    return scoped_matches(name, ast.parse(source), raises)
 
 
 def test_lint_finds_every_capacity_raise():
@@ -176,16 +185,17 @@ def test_lint_finds_every_capacity_raise():
     ]
 
 
-def package_raises(exception: str) -> list[tuple[str, str]]:
-    """(file, scope) for each raise of the named exception in the package."""
+def in_package(find, *args: str) -> list[tuple[str, str]]:
+    """(file, scope) for each match of find(name, source, *args) over the
+    package's modules."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        found += exception_raises(str(path.relative_to(PACKAGE)), path.read_text(), exception)
+        found += find(str(path.relative_to(PACKAGE)), path.read_text(), *args)
     return [(f.partition(":")[0], f.partition(" ")[2]) for f in found]
 
 
 def test_only_check_cap_raises_capacity_exceeded():
-    assert package_raises("CapacityExceeded") == [("errors.py", "check_cap")]
+    assert in_package(exception_raises, "CapacityExceeded") == [("errors.py", "check_cap")]
 
 
 def test_lint_finds_every_invalid_valuation_raise():
@@ -212,7 +222,66 @@ def test_lint_finds_every_invalid_valuation_raise():
 
 
 def test_only_check_valuations_raises_invalid_valuation():
-    assert package_raises("InvalidValuation") == [("errors.py", "check_valuations")]
+    assert in_package(exception_raises, "InvalidValuation") == [("errors.py", "check_valuations")]
+
+
+TOGGLES = {"disable", "enable"}
+
+
+def collector_toggles(name: str, source: str) -> list[str]:
+    """'name:line scope' for each call of gc.disable or gc.enable, through
+    `import gc` or `from gc import ...` under any alias.  The cyclic
+    collector is process-global, so pausing it belongs in one audited place."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "gc"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            functions |= {a.asname or a.name for a in node.names if a.name in TOGGLES}
+
+    def toggles(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        if isinstance(f, ast.Attribute):
+            return f.attr in TOGGLES and isinstance(f.value, ast.Name) and f.value.id in modules
+        return isinstance(f, ast.Name) and f.id in functions
+
+    return scoped_matches(name, tree, toggles)
+
+
+def test_lint_finds_every_collector_toggle():
+    source = (
+        "import gc\n"
+        "import gc as collector\n"
+        "from gc import disable as pause, isenabled\n"
+        "\n"
+        "def paused():\n"
+        "    if isenabled():\n"
+        "        gc.disable()\n"
+        "    gc.collect()\n"
+        "    gc.enable()\n"
+        "\n"
+        "class Builder:\n"
+        "    def build(self):\n"
+        "        pause()\n"
+        "        collector.enable()\n"
+        "        self.gc.disable()\n"
+        "\n"
+        "gc.disable()\n"
+    )
+    assert collector_toggles("sample.py", source) == [
+        "sample.py:7 paused",
+        "sample.py:9 paused",
+        "sample.py:13 Builder.build",
+        "sample.py:14 Builder.build",
+        "sample.py:17 <module>",
+    ]
+
+
+def test_only_the_orbit_builders_pause_the_collector():
+    assert in_package(collector_toggles) == [("orbits.py", "_collector_paused")] * 2
 
 
 def dotted_names(text: str) -> list[str]:
